@@ -9,7 +9,6 @@ Exit status is 0 exactly when every requested check passes.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -19,17 +18,6 @@ from .deformed import projected_cube, shadow_incidence
 from .errors import NcpolyError
 from .polytope import f_vector, is_cubical
 from .skeleton import dehn_sommerville_check, verify_skeleton_equivalence
-
-
-def _workers():
-    raw = os.environ.get("NCPOLY_WORKERS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise SystemExit(f"NCPOLY_WORKERS must be a positive integer, got {raw!r}")
-    if w < 1:
-        raise SystemExit("NCPOLY_WORKERS must be >= 1")
-    return w
 
 
 def _emit(args, text):
@@ -273,7 +261,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _workers()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

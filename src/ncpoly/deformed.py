@@ -23,7 +23,6 @@ from .polytope import (
     HPolytope,
     IncidenceStructure,
     VPolytope,
-    canonical_inequality,
     face_lattice,
     facets_from_vrep,
     vertices_from_hrep,
@@ -167,21 +166,26 @@ def verify_combinatorial_cube(h: HPolytope) -> bool:
                 return False
             incidence.append(inc)
     struct = IncidenceStructure(len(v.points), incidence, coords=v.points)
-    lattice = face_lattice(struct)
+    return cube_faces_match(face_lattice(struct), labels, n, n - 1)
+
+
+def cube_faces_match(lattice, labels, n, top):
+    """Are the k-faces of ``lattice``, for every k <= top, exactly the faces
+    of the n-cube?  Vertex i of the lattice is the cube vertex labels[i], a
+    tuple in {-1, +1}^n; each cube k-face must appear as a k-face of the
+    lattice, and the counts must agree.
+    """
+    faces = {k: set(lattice.get(k, ())) for k in range(top + 1)}
+    if any(len(faces[k]) != signvec.cube_face_count(n, k) for k in faces):
+        return False
     by_label = {lab: i for i, lab in enumerate(labels)}
-    for k in range(n):
-        faces = set(lattice.get(k, ()))
-        if len(faces) != signvec.cube_face_count(n, k):
+    for sv in signvec.all_faces(n, max_zeros=top):
+        want = frozenset(
+            by_label[signvec.vertex_tuple_from_bits(b, n)]
+            for b in signvec.vertices_bits(sv)
+        )
+        if want not in faces[signvec.face_dim(sv)]:
             return False
-        for sv in signvec.all_faces(n, max_zeros=k):
-            if signvec.face_dim(sv) != k:
-                continue
-            want = frozenset(
-                by_label[signvec.vertex_tuple_from_bits(b, n)]
-                for b in signvec.vertices_bits(sv)
-            )
-            if want not in faces:
-                return False
     return True
 
 
@@ -225,27 +229,5 @@ def projected_cube(n, d, epsilon=None) -> ProjectedCube:
 
 
 def shadow_incidence(pc: ProjectedCube) -> IncidenceStructure:
-    """Vertex-facet incidence of the projected polytope.
-
-    For n > d this is the hull oracle.  For n = d the projection is the
-    cube itself, whose facets are exactly the tight sets of its own 2n
-    inequalities; that avoids a hopeless hull run on 2^n points.
-    """
-    if pc.n > pc.d:
-        return facets_from_vrep(pc.shadow)
-    entries = []
-    for normal, rhs in pc.hrep.inequalities:
-        inc = frozenset(
-            i
-            for i, p in enumerate(pc.cube.points)
-            if sum(a * x for a, x in zip(normal, p)) == rhs
-        )
-        entries.append((inc, canonical_inequality(normal, rhs)))
-    entries.sort(key=lambda e: e[1])
-    return IncidenceStructure(
-        len(pc.cube.points),
-        [inc for inc, _ in entries],
-        coords=pc.cube.points,
-        labels=pc.cube.labels,
-        inequalities=tuple(ineq for _, ineq in entries),
-    )
+    """Vertex-facet incidence of the projected polytope, by the hull oracle."""
+    return facets_from_vrep(pc.shadow)

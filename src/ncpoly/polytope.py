@@ -1,14 +1,14 @@
-"""Exact polytope representations and the brute-force geometric oracle.
+"""Exact polytope representations and the geometric hull oracle.
 
-Both enumeration directions work by exhaustive subset enumeration with
-rational arithmetic: vertices of an H-polytope come from solving all tight
-square subsystems, facets of a V-polytope from all hyperplanes spanned by
-affinely independent point subsets.  This is deliberately simple; at desk
-scale (at most a few million subsets) auditability beats asymptotics.
+Both enumeration directions are one exact routine: the extreme rays of a
+pointed integer cone, by incremental double description.  Facets of a
+V-polytope are the extreme rays of the cone of affine functions that are
+nonnegative on its points; vertices of an H-polytope are the extreme rays of
+its homogenized cone with last coordinate positive.  All arithmetic is on
+Python integers, so results are exact.
 """
 
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 from .errors import (
@@ -18,7 +18,6 @@ from .errors import (
     UnboundedPolytopeError,
 )
 from .intops import (
-    bareiss_det,
     echelon_kernel,
     int_rank,
     primitive,
@@ -157,6 +156,74 @@ def affine_rank(points):
 
 
 # ---------------------------------------------------------------------------
+# the cone routine behind both hull directions
+# ---------------------------------------------------------------------------
+
+
+def _extreme_rays(rows, width):
+    """Extreme rays of the pointed cone {u : row . u >= 0 for every row}.
+
+    Incremental double description (Motzkin et al. 1953; Fukuda & Prodon,
+    "Double description method revisited", 1996).  The cone of ``width``
+    independent rows, taken greedily in input order, is simplicial; the
+    other rows then cut it one at a time, in input order.  A cut keeps the
+    rays on its nonnegative side and adds the primitive combination of
+    every adjacent pair it separates.  Rays p and q are adjacent exactly
+    when their common zero set Z has at least width-2 rows and no third ray
+    vanishes on all of Z.  ``rows`` are integer vectors of rank ``width``.
+
+    Returns (ray, zero set) pairs: a primitive integer ray and the frozenset
+    of row indices on which it vanishes.
+    """
+    basis, red = [], []
+    for i, row in enumerate(rows):
+        res = reduce_row(row, red)
+        if any(res):
+            basis.append(i)
+            red.append((res, next(j for j, x in enumerate(res) if x)))
+            if len(basis) == width:
+                break
+    rays, zeros = [], []
+    for i in basis:
+        others = []
+        for j in basis:
+            if j != i:
+                res = reduce_row(rows[j], others)
+                others.append((res, next(c for c, x in enumerate(res) if x)))
+        ray = echelon_kernel(others, width)
+        if sum(a * b for a, b in zip(rows[i], ray)) < 0:
+            ray = tuple(-x for x in ray)
+        rays.append(ray)
+        zeros.append(sum(1 << j for j in basis if j != i))
+
+    in_basis = set(basis)
+    for k, row in enumerate(rows):
+        if k in in_basis:
+            continue
+        vals = [sum(a * b for a, b in zip(row, ray)) for ray in rays]
+        pos = [i for i, s in enumerate(vals) if s > 0]
+        neg = [i for i, s in enumerate(vals) if s < 0]
+        new_rays, new_zeros = [], []
+        for p in pos:
+            for q in neg:
+                common = zeros[p] & zeros[q]
+                if common.bit_count() < width - 2:
+                    continue
+                if any(z & common == common for i, z in enumerate(zeros) if i != p and i != q):
+                    continue
+                sp, sq = vals[p], vals[q]
+                new_rays.append(primitive([sp * b - sq * a for a, b in zip(rays[p], rays[q])]))
+                new_zeros.append(common | 1 << k)
+        keep = [i for i, s in enumerate(vals) if s >= 0]
+        rays = [rays[i] for i in keep] + new_rays
+        zeros = [zeros[i] | (1 << k if vals[i] == 0 else 0) for i in keep] + new_zeros
+    return [
+        (ray, frozenset(i for i in range(len(rows)) if z >> i & 1))
+        for ray, z in zip(rays, zeros)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # vertex enumeration from an H-description
 # ---------------------------------------------------------------------------
 
@@ -177,34 +244,12 @@ def _fm_feasible(rows, d):
     return all(r[d] >= 0 for r in rows)
 
 
-def _has_unbounded_ray(normals, d):
-    """True when the recession cone {x : normals . x <= 0} is nontrivial.
-
-    The cone is pointed here (normals have full rank), so nontrivial means
-    some extreme ray, and every extreme ray is tight on d-1 independent rows.
-    """
-    for subset in combinations(range(len(normals)), d - 1):
-        rows = [normals[i] for i in subset]
-        red = []
-        ok = True
-        for row in rows:
-            res = reduce_row(row, red)
-            if not any(res):
-                ok = False
-                break
-            red.append((res, next(i for i, x in enumerate(res) if x)))
-        if not ok:
-            continue
-        ray = echelon_kernel(red, d)
-        for u in (ray, tuple(-x for x in ray)):
-            if all(sum(a * b for a, b in zip(n, u)) <= 0 for n in normals):
-                return True
-    return False
-
-
 def vertices_from_hrep(h: HPolytope) -> VPolytope:
-    """All vertices of a bounded H-polytope, by tight-subsystem enumeration.
+    """All vertices of a bounded H-polytope, sorted.
 
+    The extreme rays (y, t) of the homogenized cone
+    {(y, t) : normal . y <= rhs * t, t >= 0} are the vertices y / t when
+    t > 0 and the extreme recession directions y when t = 0.
     Raises UnboundedPolytopeError / EmptyPolytopeError when the system does
     not describe a (nonempty, bounded) polytope.
     """
@@ -213,40 +258,19 @@ def vertices_from_hrep(h: HPolytope) -> VPolytope:
     for normal, rhs in h.inequalities:
         mult = lcm(*(x.denominator for x in normal), rhs.denominator)
         int_rows.append(tuple(int(x * mult) for x in normal) + (int(rhs * mult),))
-    normals = [r[:-1] for r in int_rows]
-    if int_rank(normals) < d:
+    if int_rank([r[:-1] for r in int_rows]) < d:
         if _fm_feasible(int_rows, d):
             raise UnboundedPolytopeError("normals do not span; feasible set has a line")
         raise EmptyPolytopeError("inconsistent inequality system")
 
-    verts = []
-    seen = set()
-    for subset in combinations(range(len(int_rows)), d):
-        mat = [normals[i] for i in subset]
-        det = bareiss_det(mat)
-        if det == 0:
-            continue
-        point = []
-        for j in range(d):
-            col_swapped = [
-                row[:j] + (int_rows[i][-1],) + row[j + 1:]
-                for i, row in zip(subset, mat)
-            ]
-            point.append(Fraction(bareiss_det(col_swapped), det))
-        point = tuple(point)
-        if point in seen:
-            continue
-        if all(
-            sum(n * x for n, x in zip(normal, point)) <= rhs
-            for normal, rhs in h.inequalities
-        ):
-            seen.add(point)
-            verts.append(point)
+    cone = [tuple(-x for x in r[:-1]) + (r[-1],) for r in int_rows]
+    cone.append((0,) * d + (1,))
+    rays = [ray for ray, _ in _extreme_rays(cone, d + 1)]
+    verts = sorted(tuple(Fraction(x, ray[d]) for x in ray[:d]) for ray in rays if ray[d])
     if not verts:
         raise EmptyPolytopeError("no basic feasible point")
-    if _has_unbounded_ray(normals, d):
+    if len(verts) < len(rays):
         raise UnboundedPolytopeError("recession cone has an extreme ray")
-    verts.sort()
     return VPolytope(d, verts)
 
 
@@ -255,92 +279,31 @@ def vertices_from_hrep(h: HPolytope) -> VPolytope:
 # ---------------------------------------------------------------------------
 
 
-_FACET_CACHE = {}
-
-
 def facets_from_vrep(v: VPolytope) -> IncidenceStructure:
-    """All facets of conv(points), by spanning-subset enumeration.
+    """All facets of conv(points), sorted by canonical inequality.
 
-    Every hyperplane spanned by an affinely independent d-subset of points
-    is tested for being supporting; supporting ones are canonicalized and
-    merged.  The subset walk shares elimination work along common prefixes
-    and prunes affinely dependent prefixes, which every facet survives.
-    Results are memoized: the enumeration is pure and the big instances are
-    queried by several verification passes.
+    The facets are the extreme rays of the cone of affine functions
+    nonnegative on every point, u . (x, 1) >= 0; a facet's vertex set is the
+    ray's zero set.  Non-vertex points on a facet belong to its incidence.
     """
-    cache_key = (v.dim, v.points, v.labels)
-    hit = _FACET_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
     d = v.dim
-    pts = v.points
-    n_pts = len(pts)
-    ipts, mult = _scaled_int_points(pts)
+    ipts, mult = _scaled_int_points(v.points)
     hom = [p + (1,) for p in ipts]
     if int_rank(hom) != d + 1:
         raise SpanError("points do not affinely span the ambient space")
-    width = d + 1
-
-    # Fixed pseudo-shuffled probe order makes early exits fast on the
-    # structured, symmetric point sets this oracle mostly runs on.
-    probe = sorted(range(n_pts), key=lambda i: (i * 2654435761) % (1 << 32))
-
-    supporting = {}
-    non_supporting = set() if n_pts <= 32 else None
-
-    def classify(u):
-        if u in supporting:
-            return
-        if non_supporting is not None and u in non_supporting:
-            return
-        neg = pos = False
-        for i in probe:
-            s = sum(a * b for a, b in zip(u, hom[i]))
-            if s > 0:
-                pos = True
-                if neg:
-                    break
-            elif s < 0:
-                neg = True
-                if pos:
-                    break
-        if pos and neg:
-            if non_supporting is not None:
-                non_supporting.add(u)
-            return
-        out = u if pos else tuple(-x for x in u)
-        # out . (x, 1) >= 0 on all points: outward form is -out[:d] . x <= out[d]
-        normal = tuple(Fraction(-a) for a in out[:d])
-        rhs = Fraction(out[d], mult)
-        inc = frozenset(
-            i for i in range(n_pts) if sum(a * b for a, b in zip(u, hom[i])) == 0
-        )
-        supporting[u] = (inc, canonical_inequality(normal, rhs))
-
-    def walk(start, red):
-        complete = len(red) == d - 1
-        for j in range(start, n_pts):
-            res = reduce_row(hom[j], red)
-            if not any(res):
-                continue
-            pc = next(i for i, x in enumerate(res) if x)
-            if complete:
-                classify(echelon_kernel(red + [(res, pc)], width))
-            else:
-                walk(j + 1, red + [(res, pc)])
-
-    walk(0, [])
-
-    entries = sorted(supporting.values(), key=lambda e: e[1])
-    result = IncidenceStructure(
-        vertex_count=n_pts,
+    entries = []
+    for u, inc in _extreme_rays(hom, d + 1):
+        # u . (x, 1) >= 0 on all points: outward form is -u[:d] . x <= u[d]
+        normal = tuple(Fraction(-a) for a in u[:d])
+        entries.append((inc, canonical_inequality(normal, Fraction(u[d], mult))))
+    entries.sort(key=lambda e: e[1])
+    return IncidenceStructure(
+        vertex_count=len(v.points),
         incidence=[inc for inc, _ in entries],
-        coords=pts,
+        coords=v.points,
         labels=v.labels,
         inequalities=tuple(ineq for _, ineq in entries),
     )
-    _FACET_CACHE[cache_key] = result
-    return result
 
 
 # ---------------------------------------------------------------------------

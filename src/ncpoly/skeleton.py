@@ -13,6 +13,7 @@ from .complexes import CubicalComplex
 from .deformed import (
     certify_epsilon,
     choose_epsilon,
+    cube_faces_match,
     projected_cube,
     shadow_incidence,
 )
@@ -44,24 +45,9 @@ def verify_skeleton_equivalence(inc: IncidenceStructure, n, r) -> bool:
         raise ValueError("skeleton comparison needs vertex labels")
     if len(set(inc.labels)) != inc.vertex_count:
         raise ValueError("vertex labels must be distinct")
-    by_label = {lab: i for i, lab in enumerate(inc.labels)}
-    if len(by_label) != 2 ** n:
+    if inc.vertex_count != 2 ** n:
         return False
-    lattice = face_lattice(inc, up_to_dim=r)
-    for k in range(r + 1):
-        faces = set(lattice.get(k, ()))
-        if len(faces) != signvec.cube_face_count(n, k):
-            return False
-        for sv in signvec.all_faces(n, max_zeros=k):
-            if signvec.face_dim(sv) != k:
-                continue
-            want = frozenset(
-                by_label[signvec.vertex_tuple_from_bits(b, n)]
-                for b in signvec.vertices_bits(sv)
-            )
-            if want not in faces:
-                return False
-    return True
+    return cube_faces_match(face_lattice(inc, up_to_dim=r), inc.labels, n, r)
 
 
 def dehn_sommerville_check(fvec, d) -> bool:

@@ -1,8 +1,7 @@
 """Shared fixtures.
 
-The construction pipeline and the facet oracle are memoized inside the
-library, so this helper just names the common pairing; everything heavy is
-computed once per pytest process no matter how many tests ask for it.
+``constructed`` names the common pairing of a projected cube with the facet
+incidence of its shadow.
 """
 
 import pytest

@@ -2,9 +2,7 @@
 
 Every check is exact integer/rational equality; there are no numeric
 tolerances anywhere.  Each test prints a single PASS line on success (the
-assertion machinery reports failures).  The heavy geometric instances are
-memoized inside the library, so the (6,5) oracle runs once for the whole
-session.
+assertion machinery reports failures).
 """
 
 from fractions import Fraction

@@ -118,15 +118,6 @@ def test_bad_arguments_exit_nonzero(capsys):
         main(["facets", "--n", "notanumber", "--d", "2"])
 
 
-def test_bad_worker_env(monkeypatch):
-    monkeypatch.setenv("NCPOLY_WORKERS", "zero")
-    with pytest.raises(SystemExit):
-        main(["facets", "--n", "4", "--d", "2"])
-    monkeypatch.setenv("NCPOLY_WORKERS", "0")
-    with pytest.raises(SystemExit):
-        main(["facets", "--n", "4", "--d", "2"])
-
-
 def test_verify_handles_n_equals_d(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "5", "--d", "5")
     data = json.loads(out)

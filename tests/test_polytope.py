@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 
@@ -8,6 +10,7 @@ from ncpoly.errors import (
     SpanError,
     UnboundedPolytopeError,
 )
+from ncpoly.intops import cramer_left_kernel
 from ncpoly.polytope import (
     HPolytope,
     VPolytope,
@@ -289,3 +292,73 @@ def test_crown_graph_is_the_3_cube():
     ]
     iso = hypercube_graph_iso(edges, 3)
     assert iso is not None
+
+
+def _brute_force_facets(v):
+    """Reference V->H: the hyperplane through every affinely independent
+    d-subset of the points, kept when it supports them.  Returns the facet
+    incidence and the canonical inequalities, sorted by inequality."""
+    mult = lcm(*(x.denominator for p in v.points for x in p))
+    hom = [tuple(int(x * mult) for x in p) + (1,) for p in v.points]
+    found = {}
+    for subset in combinations(hom, v.dim):
+        u = cramer_left_kernel([list(col) for col in zip(*subset)])
+        if u is None:
+            continue
+        vals = [sum(a * b for a, b in zip(u, p)) for p in hom]
+        if all(s <= 0 for s in vals):
+            u, vals = tuple(-a for a in u), [-s for s in vals]
+        elif any(s < 0 for s in vals):
+            continue
+        ineq = canonical_inequality([Fraction(-a) for a in u[:-1]], Fraction(u[-1], mult))
+        found[ineq] = frozenset(i for i, s in enumerate(vals) if s == 0)
+    order = sorted(found)
+    return [found[k] for k in order], order
+
+
+def _random_point_set(rng, d):
+    """Some corners of [-2, 2]^d (non-simplicial facets), grid points on its
+    boundary (non-vertex points inside facets) and inside it."""
+    corners = list(product((-2, 2), repeat=d))
+    pts = set(rng.sample(corners, rng.randint(d + 1, len(corners))))
+    for _ in range(rng.randint(1, 6)):
+        p = [rng.randint(-2, 2) for _ in range(d)]
+        if rng.random() < 0.5:
+            p[rng.randrange(d)] = rng.choice((-2, 2))
+        pts.add(tuple(p))
+    return VPolytope(d, sorted(pts))
+
+
+def test_hull_matches_brute_force_reference():
+    rng = random.Random(20261017)
+    checked = 0
+    while checked < 50:
+        v = _random_point_set(rng, 2 + checked % 3)
+        try:
+            inc = facets_from_vrep(v)
+        except SpanError:
+            continue
+        incidence, inequalities = _brute_force_facets(v)
+        assert list(inc.incidence) == incidence
+        assert list(inc.inequalities) == inequalities
+        checked += 1
+
+
+def test_random_box_cuts_round_trip():
+    # H -> V -> H -> V on boxes cut by random half-spaces through no origin:
+    # every facet found is one of the given inequalities, and the facets
+    # alone give back the same vertices
+    rng = random.Random(5)
+    for trial in range(30):
+        d = 2 + trial % 3
+        h = _cube_hrep(d, bound=3)
+        cuts = [
+            ([rng.randint(-3, 3) for _ in range(d)], rng.randint(1, 6))
+            for _ in range(rng.randint(1, 4))
+        ]
+        h = HPolytope(d, list(h.inequalities) + [c for c in cuts if any(c[0])])
+        v = vertices_from_hrep(h)
+        inc = facets_from_vrep(v)
+        given = {canonical_inequality(n, r) for n, r in h.inequalities}
+        assert set(inc.inequalities) <= given
+        assert vertices_from_hrep(HPolytope(d, inc.inequalities)).points == v.points

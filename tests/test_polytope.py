@@ -345,7 +345,7 @@ def test_hull_matches_brute_force_reference():
 
 
 def test_random_box_cuts_round_trip():
-    # H -> V -> H -> V on boxes cut by random half-spaces through no origin:
+    # H -> V -> H -> V on boxes cut by random half-spaces that keep the origin:
     # every facet found is one of the given inequalities, and the facets
     # alone give back the same vertices
     rng = random.Random(5)

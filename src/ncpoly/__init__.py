@@ -37,7 +37,6 @@ from .gale import (
     is_positive_circuit,
     to_sign_vector,
 )
-from .linalg import Matrix, Rational, determinant, kernel_vector, rank
 from .polytope import (
     HPolytope,
     IncidenceStructure,

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import DimensionError
-from .linalg import Matrix, determinant, rank
+from .intops import bareiss_det, int_rank, int_row
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class CyclicConfiguration:
         return tuple(t ** j for j in range(self.rank))
 
     def matrix(self):
-        return Matrix([self.row(i) for i in range(self.n)])
+        return tuple(self.row(i) for i in range(self.n))
 
 
 def cyclic_configuration(n, d, ts=None) -> CyclicConfiguration:
@@ -48,7 +48,7 @@ def chirotope(cfg: CyclicConfiguration, subset):
     subset = tuple(subset)
     if len(subset) != cfg.rank:
         raise DimensionError("subset size must equal the rank")
-    det = determinant(Matrix([cfg.row(i) for i in subset]))
+    det = bareiss_det([int_row(cfg.row(i)) for i in subset])
     return 0 if det == 0 else (1 if det > 0 else -1)
 
 
@@ -61,11 +61,14 @@ def dual_configuration(cfg: CyclicConfiguration):
         t = Fraction(cfg.ts[i])
         sign = 1 if i % 2 == 0 else -1
         rows.append(tuple(sign * t ** j for j in range(dual_rank)))
-    return Matrix(rows)
+    return tuple(rows)
 
 
 def rank_pair(cfg: CyclicConfiguration):
-    return rank(cfg.matrix()), rank(dual_configuration(cfg))
+    return (
+        int_rank([int_row(r) for r in cfg.matrix()]),
+        int_rank([int_row(r) for r in dual_configuration(cfg)]),
+    )
 
 
 def classical_gale_even(subset, n) -> bool:
@@ -104,15 +107,16 @@ def positive_cocircuit_facets(cfg: CyclicConfiguration):
     facet.
     """
     d = cfg.rank - 1
+    rows = [int_row(cfg.row(i)) for i in range(cfg.n)]
     facets = set()
     for subset in combinations(range(cfg.n), d):
-        base = [cfg.row(i) for i in subset]
+        base = [rows[i] for i in subset]
         signs = set()
         zeros = set(subset)
         for i in range(cfg.n):
             if i in subset:
                 continue
-            det = determinant(Matrix(base + [cfg.row(i)]))
+            det = bareiss_det(base + [rows[i]])
             if det == 0:
                 zeros.add(i)
             else:

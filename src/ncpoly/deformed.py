@@ -18,7 +18,7 @@ from math import comb
 
 from . import signvec
 from .errors import ConstructionError, NcpolyError, SkeletonViolationError
-from .linalg import Matrix, determinant
+from .intops import bareiss_det, int_row
 from .polytope import (
     HPolytope,
     IncidenceStructure,
@@ -84,10 +84,10 @@ def certify_epsilon(n, d, epsilon) -> bool:
         sign_rows = [k for k in rows if k <= width]
         for signs in product((-1, 1), repeat=len(sign_rows)):
             sigma = dict(zip(sign_rows, signs))
-            at_eps = Matrix([amatrix_row(n, d, k, sigma.get(k, 1), eps) for k in rows])
-            at_zero = Matrix([amatrix_row(n, d, k, sigma.get(k, 1), 0) for k in rows])
-            dv = determinant(at_eps)
-            d0 = determinant(at_zero)
+            at_eps = [int_row(amatrix_row(n, d, k, sigma.get(k, 1), eps)) for k in rows]
+            at_zero = [int_row(amatrix_row(n, d, k, sigma.get(k, 1), 0)) for k in rows]
+            dv = bareiss_det(at_eps)
+            d0 = bareiss_det(at_zero)
             if d0 == 0 or dv == 0 or (dv > 0) != (d0 > 0):
                 return False
     return True

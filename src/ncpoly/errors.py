@@ -9,10 +9,6 @@ class DimensionError(NcpolyError):
     """Matrix or vector dimensions do not match the operation."""
 
 
-class RankError(NcpolyError):
-    """Input matrix does not have the rank required by the operation."""
-
-
 class EmptyPolytopeError(NcpolyError):
     """An inequality system has no solution."""
 

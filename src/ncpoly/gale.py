@@ -21,8 +21,8 @@ from math import comb
 
 from . import signvec
 from .deformed import amatrix_row
-from .errors import FormulaError, RankError
-from .linalg import Matrix, kernel_vector
+from .errors import FormulaError
+from .intops import cramer_left_kernel, int_row
 
 
 def gap_even(support) -> bool:
@@ -106,12 +106,8 @@ def is_positive_circuit(n, d, sigma, rows, epsilon) -> bool:
         sig = sigma
     else:
         sig = {k: s for k, s in zip(range(1, n + 1), sigma)}
-    m = Matrix([amatrix_row(n, d, k, sig.get(k, 1), eps) for k in rows])
-    try:
-        v = kernel_vector(m)
-    except RankError:
-        return False
-    return all(x > 0 for x in v)
+    v = cramer_left_kernel([int_row(amatrix_row(n, d, k, sig.get(k, 1), eps)) for k in rows])
+    return v is not None and all(x > 0 for x in v)
 
 
 def alpha_is_positive_circuit(n, d, alpha, epsilon) -> bool:

@@ -1,12 +1,12 @@
 """Exact integer matrix routines.
 
-These are the hot kernels behind the rational Matrix API and the polytope
-enumeration loops.  Everything works on plain Python integers (arbitrary
-precision), with fraction-free eliminations so intermediate values stay
-integral.
+These are the kernels behind the eps certificate, the positive-circuit test,
+the chirotopes and the hull.  Everything works on plain Python integers
+(arbitrary precision), with fraction-free eliminations so intermediate
+values stay integral.  Rational rows enter through ``int_row``.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 
 def vec_content(v):
@@ -25,6 +25,16 @@ def primitive(v):
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
+
+
+def int_row(row):
+    """A rational row times the lcm of its denominators, as integers.
+
+    The scale is positive, so it keeps the sign of every minor, and the sign
+    pattern of every left-kernel vector (v_i becomes v_i / c_i, c_i > 0).
+    """
+    mult = lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (mult // x.denominator) for x in row)
 
 
 def bareiss_det(rows):

@@ -20,6 +20,7 @@ from .errors import (
 from .intops import (
     echelon_kernel,
     int_rank,
+    int_row,
     primitive,
     reduce_row,
 )
@@ -130,9 +131,7 @@ class IncidenceStructure:
 
 def canonical_inequality(normal, rhs):
     """Primitive integer form of normal . x <= rhs (positive scaling only)."""
-    mult = lcm(*(x.denominator for x in normal), Fraction(rhs).denominator)
-    row = [int(x * mult) for x in normal] + [int(Fraction(rhs) * mult)]
-    row = primitive(row)
+    row = primitive(int_row((*normal, rhs)))
     return tuple(row[:-1]), row[-1]
 
 
@@ -145,11 +144,10 @@ def _scaled_int_points(points):
     return [tuple(int(x * mult) for x in p) for p in points], mult
 
 
-def affine_rank(points):
-    """Dimension of the affine hull of a rational point set."""
-    if not points:
+def affine_rank(ipts):
+    """Dimension of the affine hull of an integer point set."""
+    if not ipts:
         return -1
-    ipts, _ = _scaled_int_points([tuple(Fraction(x) for x in p) for p in points])
     base = ipts[0]
     diffs = [tuple(a - b for a, b in zip(p, base)) for p in ipts[1:]]
     return int_rank(diffs)
@@ -254,10 +252,7 @@ def vertices_from_hrep(h: HPolytope) -> VPolytope:
     not describe a (nonempty, bounded) polytope.
     """
     d = h.dim
-    int_rows = []
-    for normal, rhs in h.inequalities:
-        mult = lcm(*(x.denominator for x in normal), rhs.denominator)
-        int_rows.append(tuple(int(x * mult) for x in normal) + (int(rhs * mult),))
+    int_rows = [int_row(normal + (rhs,)) for normal, rhs in h.inequalities]
     if int_rank([r[:-1] for r in int_rows]) < d:
         if _fm_feasible(int_rows, d):
             raise UnboundedPolytopeError("normals do not span; feasible set has a line")
@@ -294,7 +289,7 @@ def facets_from_vrep(v: VPolytope) -> IncidenceStructure:
     entries = []
     for u, inc in _extreme_rays(hom, d + 1):
         # u . (x, 1) >= 0 on all points: outward form is -u[:d] . x <= u[d]
-        normal = tuple(Fraction(-a) for a in u[:d])
+        normal = tuple(-a for a in u[:d])
         entries.append((inc, canonical_inequality(normal, Fraction(u[d], mult))))
     entries.sort(key=lambda e: e[1])
     return IncidenceStructure(
@@ -333,8 +328,9 @@ def face_lattice(inc: IncidenceStructure, up_to_dim=None):
             frontier = fresh
         by_dim = {}
         if inc.coords is not None:
+            ipts, _ = _scaled_int_points(inc.coords)
             for f in known:
-                k = affine_rank([inc.coords[i] for i in f])
+                k = affine_rank([ipts[i] for i in f])
                 by_dim.setdefault(k, []).append(f)
         else:
             dims = {}
@@ -353,7 +349,7 @@ def face_lattice(inc: IncidenceStructure, up_to_dim=None):
 
 def polytope_dim(inc: IncidenceStructure):
     if inc.coords is not None:
-        return affine_rank(inc.coords)
+        return affine_rank(_scaled_int_points(inc.coords)[0])
     return max(face_lattice(inc)) + 1
 
 

@@ -15,7 +15,7 @@ from ncpoly.classify import (
     verify_ambiguity_witnesses,
 )
 from ncpoly.gale import f_formula
-from ncpoly.linalg import Matrix, determinant
+from ncpoly.intops import bareiss_det, int_row
 from ncpoly.polytope import (
     VPolytope,
     f_vector,
@@ -173,7 +173,7 @@ def test_noncubical_witness_heights_satisfy_coplanarity():
             [r[i] - p[i] for i in range(3)],
             [s[i] - p[i] for i in range(3)],
         ]
-        return determinant(Matrix(rows)) == 0
+        return bareiss_det([int_row(r) for r in rows]) == 0
 
     assert coplanar(A, B, C, D)
     assert coplanar(B, C, F, H)

@@ -1,18 +1,54 @@
+"""Exact linear algebra on the integer kernels of ``ncpoly.intops``.
+
+Rational input enters through ``int_row``, which scales each row by a
+positive integer; the tests check the determinant, rank and left-kernel
+routines against independent oracles and that the scaling keeps every sign
+the certificate, the circuit test and the chirotope read.
+"""
+
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import lcm
 
 import pytest
 
-from ncpoly.errors import DimensionError, RankError
-from ncpoly.linalg import Matrix, determinant, kernel_vector, rank
+from ncpoly.intops import (
+    bareiss_det,
+    cramer_left_kernel,
+    echelon_kernel,
+    int_rank,
+    int_row,
+    reduce_row,
+)
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _leibniz_det(rows):
+    # independent oracle over Fractions: sum over permutations
+    total = Fraction(0)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
 
 
 def test_determinant_identity():
-    assert determinant(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
+    assert bareiss_det([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
 
 
 def test_determinant_2x2():
-    assert determinant(Matrix([[1, 2], [3, 4]])) == -2
+    assert bareiss_det([[1, 2], [3, 4]]) == -2
 
 
 def test_determinant_vandermonde_product_formula():
@@ -22,64 +58,67 @@ def test_determinant_vandermonde_product_formula():
     for i in range(len(ts)):
         for j in range(i + 1, len(ts)):
             expected *= ts[j] - ts[i]
-    m = Matrix([[t ** k for k in range(4)] for t in ts])
-    assert determinant(m) == expected == 12
+    m = [[t ** k for k in range(4)] for t in ts]
+    assert bareiss_det(m) == expected == 12
 
 
 def test_determinant_rejects_non_square():
-    with pytest.raises(DimensionError):
-        determinant(Matrix([[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(ValueError):
+        bareiss_det([[1, 2, 3], [4, 5, 6]])
 
 
 def test_determinant_rational_entries():
-    m = Matrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]])
-    assert determinant(m) == Fraction(1, 14) - Fraction(1, 15)
+    m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
+    rows = [int_row(r) for r in m]
+    assert rows == [(3, 2), (7, 5)]
+    # the row scales are 6 and 35; the determinant scales by their product
+    assert Fraction(bareiss_det(rows), 6 * 35) == Fraction(1, 14) - Fraction(1, 15)
 
 
 def test_kernel_vector_by_inspection():
-    assert kernel_vector(Matrix([[1, 0], [0, 1], [1, 1]])) == (1, 1, -1)
+    assert cramer_left_kernel([(1, 0), (0, 1), (1, 1)]) == (1, 1, -1)
 
 
 def test_kernel_vector_two_rows():
-    assert kernel_vector(Matrix([[1], [1]])) == (1, -1)
+    assert cramer_left_kernel([(1,), (1,)]) == (1, -1)
 
 
 def test_kernel_vector_collinear_points_betweenness():
     # three collinear points (0,0), (1,1), (3,3), homogenized along their
     # line; solved by hand: the middle point is the one whose coefficient
     # has the opposite sign
-    m = Matrix([[0, 1], [1, 1], [3, 1]])
-    v = kernel_vector(m)
-    assert v == (1, Fraction(-3, 2), Fraction(1, 2))
+    m = [(0, 1), (1, 1), (3, 1)]
+    v = cramer_left_kernel(m)
+    assert v == (2, -3, 1)
     for j in range(2):
-        assert sum(v[i] * m[i, j] for i in range(3)) == 0
+        assert sum(v[i] * m[i][j] for i in range(3)) == 0
     assert (v[0] > 0) and (v[2] > 0) and (v[1] < 0)
 
 
 def test_kernel_vector_rank_error():
-    with pytest.raises(RankError):
-        kernel_vector(Matrix([[1, 1], [2, 2], [3, 3]]))
+    # rank below the column count: no unique kernel direction
+    assert cramer_left_kernel([(1, 1), (2, 2), (3, 3)]) is None
 
 
 def test_kernel_vector_width_zero():
-    assert kernel_vector(Matrix([()])) == (1,)
+    assert cramer_left_kernel([()]) == (1,)
 
 
 def test_rank_examples():
-    assert rank(Matrix([[0, 0, 0], [0, 0, 0]])) == 0
-    eye4 = Matrix([[int(i == j) for j in range(4)] for i in range(4)])
-    assert rank(eye4) == 4
-    moment = Matrix([[1, t, t * t] for t in (1, 2, 3, 5, 8)])
-    assert rank(moment) == 3
+    assert int_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    eye4 = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert int_rank(eye4) == 4
+    moment = [[1, t, t * t] for t in (1, 2, 3, 5, 8)]
+    assert int_rank(moment) == 3
 
 
 def test_determinant_multiplicative_property():
     rng = random.Random(20260808)
     for _ in range(40):
         n = rng.randint(1, 4)
-        a = Matrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        b = Matrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        assert determinant(a * b) == determinant(a) * determinant(b)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        assert bareiss_det(_matmul(a, b)) == bareiss_det(a) * bareiss_det(b)
 
 
 def test_kernel_orthogonality_property():
@@ -87,26 +126,28 @@ def test_kernel_orthogonality_property():
     accepted = 0
     for _ in range(60):
         cols = rng.randint(1, 4)
-        m = Matrix(
-            [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
-             for _ in range(cols + 1)]
-        )
-        try:
-            v = kernel_vector(m)
-        except RankError:
+        m = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+            for _ in range(cols + 1)
+        ]
+        v = cramer_left_kernel([int_row(r) for r in m])
+        if v is None:
             continue
         accepted += 1
+        # v is a kernel vector of the scaled rows c_i * m_i, so v_i * c_i
+        # is one of the rational rows
+        scales = [lcm(*(x.denominator for x in r)) for r in m]
         for j in range(cols):
-            assert sum(v[i] * m[i, j] for i in range(cols + 1)) == 0
+            assert sum(v[i] * scales[i] * m[i][j] for i in range(cols + 1)) == 0
     assert accepted > 20
 
 
-def _nullity_by_rref(m: Matrix):
+def _nullity_by_rref(m, cols):
     # independent elimination over Fractions
-    rows = [list(r) for r in m.entries]
+    rows = [[Fraction(x) for x in r] for r in m]
     pivots = 0
     col = 0
-    while pivots < len(rows) and col < m.cols:
+    while pivots < len(rows) and col < cols:
         pivot = next((i for i in range(pivots, len(rows)) if rows[i][col]), None)
         if pivot is None:
             col += 1
@@ -120,7 +161,7 @@ def _nullity_by_rref(m: Matrix):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[pivots])]
         pivots += 1
         col += 1
-    return m.cols - pivots
+    return cols - pivots
 
 
 def test_rank_equals_cols_minus_nullity():
@@ -128,14 +169,52 @@ def test_rank_equals_cols_minus_nullity():
     for _ in range(40):
         r = rng.randint(1, 4)
         c = rng.randint(1, 4)
-        m = Matrix([[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)])
-        assert rank(m) == c - _nullity_by_rref(m)
+        m = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
+        assert int_rank(m) == c - _nullity_by_rref(m, c)
+
+
+def test_int_row_keeps_minor_and_kernel_signs():
+    # positive row scalings leave the sign of every minor and the sign
+    # pattern of every left-kernel vector unchanged; the rational references
+    # are Leibniz determinants and Cramer's rule over Fractions
+    rng = random.Random(3141)
+
+    def rational_row(width):
+        return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(width))
+
+    def scaled(rows):
+        out = []
+        for r in rows:
+            c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            out.append(tuple(c * x for x in r))
+        return out
+
+    singular = regular = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        m = [rational_row(n) for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            m[-1] = tuple(Fraction(-2, 3) * x for x in m[0])
+        expected = _sign(_leibniz_det(m))
+        singular += expected == 0
+        for rows in (m, scaled(m)):
+            assert _sign(bareiss_det([int_row(r) for r in rows])) == expected
+
+        m = [rational_row(n) for _ in range(n + 1)]
+        if n > 1 and rng.random() < 0.2:
+            m[1:] = [tuple(Fraction(3, 2) * x for x in m[0])] * n
+        v = [(-1) ** i * _leibniz_det(m[:i] + m[i + 1:]) for i in range(n + 1)]
+        lead = next((_sign(x) for x in v if x), 0)
+        expected = None if lead == 0 else tuple(lead * _sign(x) for x in v)
+        regular += expected is not None
+        for rows in (m, scaled(m)):
+            k = cramer_left_kernel([int_row(r) for r in rows])
+            assert (None if k is None else tuple(map(_sign, k))) == expected
+    assert singular > 20 and 100 < regular < 140
 
 
 def test_echelon_kernel_matches_fraction_elimination():
     # the integer back-substitution must agree with a plain rational solve
-    from ncpoly.intops import echelon_kernel, reduce_row
-
     rng = random.Random(424242)
     checked = 0
     for _ in range(200):

@@ -14,6 +14,7 @@ from math import comb
 
 from .errors import DimensionError
 from .intops import bareiss_det, int_rank, int_row
+from .polytope import VPolytope, facets_from_vrep
 
 
 @dataclass(frozen=True)
@@ -102,25 +103,10 @@ def cyclic_facet_count(n, d) -> int:
 def positive_cocircuit_facets(cfg: CyclicConfiguration):
     """Facets recovered from positive cocircuits of the configuration.
 
-    For each hyperplane spanned by rank-1 points, the cocircuit is the sign
-    pattern of the remaining points against it; a one-signed pattern marks a
-    facet.
+    A hyperplane spanned by rank-1 points whose cocircuit (the sign pattern
+    of the other points against it) is one-signed marks a facet; those are
+    the facets of the hull of the dehomogenized points.  Returns their
+    1-based vertex index sets.
     """
-    d = cfg.rank - 1
-    rows = [int_row(cfg.row(i)) for i in range(cfg.n)]
-    facets = set()
-    for subset in combinations(range(cfg.n), d):
-        base = [rows[i] for i in subset]
-        signs = set()
-        zeros = set(subset)
-        for i in range(cfg.n):
-            if i in subset:
-                continue
-            det = bareiss_det(base + [rows[i]])
-            if det == 0:
-                zeros.add(i)
-            else:
-                signs.add(1 if det > 0 else -1)
-        if len(signs) == 1:
-            facets.add(frozenset(i + 1 for i in zeros))
-    return facets
+    v = VPolytope(cfg.rank - 1, [cfg.row(i)[1:] for i in range(cfg.n)])
+    return {frozenset(i + 1 for i in f) for f in facets_from_vrep(v).incidence}

@@ -25,7 +25,7 @@ from .polytope import (
     VPolytope,
     face_lattice,
     facets_from_vrep,
-    vertices_from_hrep,
+    vertices_and_tight_sets,
 )
 
 
@@ -103,33 +103,22 @@ def choose_epsilon(n, d) -> Fraction:
     raise ConstructionError("no certified epsilon found down to 2^-64")
 
 
-def _tight_signs(h: HPolytope, point):
-    """Sign vector of tight constraint sides, or None if any pair is odd."""
-    n = h.dim
-    signs = []
-    for k in range(1, n + 1):
-        tight = []
-        for side in (0, 1):
-            normal, rhs = h.inequalities[2 * (k - 1) + side]
-            if sum(a * x for a, x in zip(normal, point)) == rhs:
-                tight.append(-1 if side == 0 else 1)
-        if len(tight) != 1:
-            return None
-        signs.append(tight[0])
-    return tuple(signs)
+def _sign_label(tight, n):
+    """The tight side (-1 or +1) of each constraint pair k = 1..n, read from
+    a vertex's tight-inequality set; None when a pair has both sides or
+    neither tight."""
+    if any((2 * k in tight) == (2 * k + 1 in tight) for k in range(n)):
+        return None
+    return tuple(1 if 2 * k + 1 in tight else -1 for k in range(n))
 
 
 def cube_vertices_labeled(n, epsilon) -> VPolytope:
     """Vertex description of the deformed cube, labeled by tight signs."""
-    h = build_deformed_cube(n, epsilon)
-    v = vertices_from_hrep(h)
-    labels = []
-    for p in v.points:
-        lab = _tight_signs(h, p)
-        if lab is None:
-            raise ConstructionError("vertex without a unique tight sign choice")
-        labels.append(lab)
-    return VPolytope(n, v.points, labels)
+    verts = vertices_and_tight_sets(build_deformed_cube(n, epsilon))
+    labels = [_sign_label(tight, n) for _, tight in verts]
+    if None in labels:
+        raise ConstructionError("vertex without a unique tight sign choice")
+    return VPolytope(n, [p for p, _ in verts], labels)
 
 
 def verify_combinatorial_cube(h: HPolytope) -> bool:
@@ -140,32 +129,23 @@ def verify_combinatorial_cube(h: HPolytope) -> bool:
     """
     n = h.dim
     try:
-        v = vertices_from_hrep(h)
+        verts = vertices_and_tight_sets(h)
     except NcpolyError:
         return False
-    if len(v.points) != 2 ** n:
+    if len(verts) != 2 ** n:
         return False
-    labels = []
-    for p in v.points:
-        lab = _tight_signs(h, p)
-        if lab is None:
-            return False
-        labels.append(lab)
-    if len(set(labels)) != 2 ** n:
+    labels = [_sign_label(tight, n) for _, tight in verts]
+    if None in labels or len(set(labels)) != 2 ** n:
         return False
-    incidence = []
-    for k in range(1, n + 1):
-        for side in (0, 1):
-            normal, rhs = h.inequalities[2 * (k - 1) + side]
-            inc = frozenset(
-                i
-                for i, p in enumerate(v.points)
-                if sum(a * x for a, x in zip(normal, p)) == rhs
-            )
-            if not inc:
-                return False
-            incidence.append(inc)
-    struct = IncidenceStructure(len(v.points), incidence, coords=v.points)
+    # every vertex has exactly n tight inequalities, so it is simple and each
+    # nonempty tight set is a facet: face_lattice gets a polytope's incidence
+    incidence = [
+        frozenset(i for i, (_, tight) in enumerate(verts) if j in tight)
+        for j in range(2 * n)
+    ]
+    if not all(incidence):
+        return False
+    struct = IncidenceStructure(len(verts), incidence)
     return cube_faces_match(face_lattice(struct), labels, n, n - 1)
 
 

@@ -6,6 +6,11 @@ V-polytope are the extreme rays of the cone of affine functions that are
 nonnegative on its points; vertices of an H-polytope are the extreme rays of
 its homogenized cone with last coordinate positive.  All arithmetic is on
 Python integers, so results are exact.
+
+Each ray's zero set is the incidence it carries: the points on a facet, or
+the inequalities tight at a vertex.  Nothing downstream recomputes it.  The
+face lattice and its grading come from the vertex-facet incidence alone
+(Kaibel & Pfetsch 2002), with no coordinate arithmetic.
 """
 
 from fractions import Fraction
@@ -122,10 +127,6 @@ class IncidenceStructure:
                 {"normal": [str(x) for x in n], "rhs": str(r)}
                 for n, r in self.inequalities
             ]
-        if self._lattice is not None:
-            d["faces_by_dim"] = {
-                str(k): [sorted(f) for f in faces] for k, faces in self._lattice.items()
-            }
         return d
 
 
@@ -135,27 +136,19 @@ def canonical_inequality(normal, rhs):
     return tuple(row[:-1]), row[-1]
 
 
-def _scaled_int_points(points):
-    """Clear denominators globally; scaling all points preserves the hull."""
-    mult = 1
-    for p in points:
-        for x in p:
-            mult = lcm(mult, x.denominator)
-    return [tuple(int(x * mult) for x in p) for p in points], mult
-
-
-def affine_rank(ipts):
-    """Dimension of the affine hull of an integer point set."""
-    if not ipts:
-        return -1
-    base = ipts[0]
-    diffs = [tuple(a - b for a, b in zip(p, base)) for p in ipts[1:]]
-    return int_rank(diffs)
-
-
 # ---------------------------------------------------------------------------
 # the cone routine behind both hull directions
 # ---------------------------------------------------------------------------
+
+
+def _members(mask):
+    """The frozenset of bit positions set in ``mask``."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(members)
 
 
 def _extreme_rays(rows, width):
@@ -215,10 +208,7 @@ def _extreme_rays(rows, width):
         keep = [i for i, s in enumerate(vals) if s >= 0]
         rays = [rays[i] for i in keep] + new_rays
         zeros = [zeros[i] | (1 << k if vals[i] == 0 else 0) for i in keep] + new_zeros
-    return [
-        (ray, frozenset(i for i in range(len(rows)) if z >> i & 1))
-        for ray, z in zip(rays, zeros)
-    ]
+    return [(ray, _members(z)) for ray, z in zip(rays, zeros)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +232,14 @@ def _fm_feasible(rows, d):
     return all(r[d] >= 0 for r in rows)
 
 
-def vertices_from_hrep(h: HPolytope) -> VPolytope:
-    """All vertices of a bounded H-polytope, sorted.
+def vertices_and_tight_sets(h: HPolytope):
+    """All vertices of a bounded H-polytope, sorted, each paired with the
+    frozenset of indices of the inequalities tight at it.
 
     The extreme rays (y, t) of the homogenized cone
     {(y, t) : normal . y <= rhs * t, t >= 0} are the vertices y / t when
-    t > 0 and the extreme recession directions y when t = 0.
+    t > 0 and the extreme recession directions y when t = 0; a vertex's
+    tight set is its ray's zero set.
     Raises UnboundedPolytopeError / EmptyPolytopeError when the system does
     not describe a (nonempty, bounded) polytope.
     """
@@ -260,13 +252,22 @@ def vertices_from_hrep(h: HPolytope) -> VPolytope:
 
     cone = [tuple(-x for x in r[:-1]) + (r[-1],) for r in int_rows]
     cone.append((0,) * d + (1,))
-    rays = [ray for ray, _ in _extreme_rays(cone, d + 1)]
-    verts = sorted(tuple(Fraction(x, ray[d]) for x in ray[:d]) for ray in rays if ray[d])
+    rays = _extreme_rays(cone, d + 1)
+    verts = sorted(
+        (tuple(Fraction(x, ray[d]) for x in ray[:d]), tight)
+        for ray, tight in rays
+        if ray[d]
+    )
     if not verts:
         raise EmptyPolytopeError("no basic feasible point")
     if len(verts) < len(rays):
         raise UnboundedPolytopeError("recession cone has an extreme ray")
-    return VPolytope(d, verts)
+    return verts
+
+
+def vertices_from_hrep(h: HPolytope) -> VPolytope:
+    """All vertices of a bounded H-polytope, sorted."""
+    return VPolytope(h.dim, [p for p, _ in vertices_and_tight_sets(h)])
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +283,9 @@ def facets_from_vrep(v: VPolytope) -> IncidenceStructure:
     ray's zero set.  Non-vertex points on a facet belong to its incidence.
     """
     d = v.dim
-    ipts, mult = _scaled_int_points(v.points)
-    hom = [p + (1,) for p in ipts]
+    # one common scale clears every denominator and keeps the hull
+    mult = lcm(*(x.denominator for p in v.points for x in p))
+    hom = [tuple(int(x * mult) for x in p) + (1,) for p in v.points]
     if int_rank(hom) != d + 1:
         raise SpanError("points do not affinely span the ambient space")
     entries = []
@@ -307,40 +309,37 @@ def facets_from_vrep(v: VPolytope) -> IncidenceStructure:
 
 
 def face_lattice(inc: IncidenceStructure, up_to_dim=None):
-    """Faces (as canonical vertex sets) grouped by dimension.
+    """Proper faces (as canonical vertex sets) grouped by dimension.
 
-    Faces are all nonempty intersections of facet vertex sets, so the family
-    is closed under intersection by construction.  Dimension comes from the
-    affine rank of the coordinates when present, else from chain length.
+    Graded from the vertex-facet incidence alone, top down (Kaibel &
+    Pfetsch, "Computing the face lattice of a polytope from its
+    vertex-facet incidences", 2002): the facets sit at depth 0, and the
+    faces one dimension below a face F are the maximal proper nonempty
+    intersections of F with the facets.  A polytope's face lattice is
+    graded, so every face is reached at one depth only, and its dimension
+    is the depth of the vertices minus its own.  The keys run from 0 to d-1
+    with no gap.
     """
     if inc._lattice is None:
-        facets = set(inc.incidence)
-        known = set(facets)
-        frontier = facets
-        while frontier:
-            fresh = set()
-            for f in frontier:
-                for g in inc.incidence:
-                    h = f & g
-                    if h and h not in known:
-                        fresh.add(h)
-            known |= fresh
-            frontier = fresh
-        by_dim = {}
-        if inc.coords is not None:
-            ipts, _ = _scaled_int_points(inc.coords)
-            for f in known:
-                k = affine_rank([ipts[i] for i in f])
-                by_dim.setdefault(k, []).append(f)
-        else:
-            dims = {}
-            for f in sorted(known, key=len):
-                below = [dims[g] for g in dims if g < f]
-                dims[f] = max(below, default=-1) + 1
-            for f, k in dims.items():
-                by_dim.setdefault(k, []).append(f)
+        facets = [sum(1 << i for i in f) for f in inc.incidence]
+        levels = [set(facets)]
+        while True:
+            below = set()
+            for f in levels[-1]:
+                # larger cuts first, so a cut is maximal when no kept one holds it
+                cuts = sorted({f & g for g in facets} - {0, f}, key=int.bit_count, reverse=True)
+                kept = []
+                for cut in cuts:
+                    if all(cut & k != cut for k in kept):
+                        kept.append(cut)
+                below.update(kept)
+            if not below:
+                break
+            levels.append(below)
+        top = len(levels) - 1
         inc._lattice = {
-            k: tuple(sorted(faces, key=sorted)) for k, faces in sorted(by_dim.items())
+            top - depth: tuple(sorted((_members(m) for m in levels[depth]), key=sorted))
+            for depth in range(top, -1, -1)
         }
     if up_to_dim is None:
         return inc._lattice
@@ -348,8 +347,6 @@ def face_lattice(inc: IncidenceStructure, up_to_dim=None):
 
 
 def polytope_dim(inc: IncidenceStructure):
-    if inc.coords is not None:
-        return affine_rank(_scaled_int_points(inc.coords)[0])
     return max(face_lattice(inc)) + 1
 
 
@@ -360,20 +357,14 @@ def graph_of(inc: IncidenceStructure):
 
 
 def f_vector(inc: IncidenceStructure):
-    lattice = face_lattice(inc)
-    top = polytope_dim(inc)
-    return tuple(len(lattice.get(k, ())) for k in range(top))
+    return tuple(len(faces) for faces in face_lattice(inc).values())
 
 
 def is_cubical(inc: IncidenceStructure) -> bool:
     """Every proper face a combinatorial cube, certified by 2^k vertex counts."""
-    lattice = face_lattice(inc)
-    top = polytope_dim(inc)
-    for k in range(top):
-        for f in lattice.get(k, ()):
-            if len(f) != 2 ** k:
-                return False
-    return True
+    return all(
+        len(f) == 2 ** k for k, faces in face_lattice(inc).items() for f in faces
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .polytope import (
     VPolytope,
     face_lattice,
     facets_from_vrep,
-    polytope_dim,
 )
 
 
@@ -64,15 +63,12 @@ def dehn_sommerville_check(fvec, d) -> bool:
 
 
 def double_r_cubicality_check(inc: IncidenceStructure, r) -> bool:
-    """Every face of dimension <= min(2r, d-1) has 2^dim vertices."""
-    top = polytope_dim(inc)
-    lattice = face_lattice(inc)
-    limit = min(2 * r, top - 1)
-    for k in range(limit + 1):
-        for f in lattice.get(k, ()):
-            if len(f) != 2 ** k:
-                return False
-    return True
+    """Every proper face of dimension <= 2r has 2^dim vertices."""
+    return all(
+        len(f) == 2 ** k
+        for k, faces in face_lattice(inc, up_to_dim=2 * r).items()
+        for f in faces
+    )
 
 
 def upper_face_subdivision(n, d):

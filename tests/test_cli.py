@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -143,3 +144,46 @@ def test_surgery_deterministic(capsys):
     _, first, _ = run_cli(capsys, "surgery")
     _, second, _ = run_cli(capsys, "surgery")
     assert first == second
+
+
+# exit code and sha256 of stdout of each command, recorded from the code
+# that graded faces by affine rank and labeled cube vertices by rational
+# evaluation: reading all incidence from the hull must not change a byte
+RECORDED_OUTPUTS = [
+    ("verify --n 4 --d 2", 0,
+     "ecca37c775b62db31321fd15d4e402b5dfa0d5d755fa338b39bc97bb743734a4"),
+    ("verify --n 5 --d 4", 0,
+     "8a69583f9d4f3c2f518409450cb3dd751b3c2512c263ed7499fcba70df566c53"),
+    ("verify --n 6 --d 4", 0,
+     "20d7e6a9fd63f86f706995f1a8023add334eb779065ae031cefdc2cdd4593f8c"),
+    ("verify --n 6 --d 5", 0,
+     "17848025f7342a6900b85518bc1ec52d4a4bfcfbb5966ca35d5b945e4301e898"),
+    ("verify --n 7 --d 4", 0,
+     "faff64bc805c86084b89408ab818988c6d4a6e9376c60fc3ea6d46a6cdcfe3f9"),
+    ("verify --n 8 --d 5", 0,
+     "ad006e39fdcd6e1c39aeb500935e884c564d760cbf1595e38a98e2f7fb9dc218"),
+    ("verify --n 8 --d 8", 0,
+     "c43061c2a4a9a50647d5d5a237a5d024099543988be94db7a710350a46232067"),
+    ("verify --n 5 --d 4 --r 2", 1,
+     "285c7a7286b547b5ece19ebffaa809bd6ac8811d08101cb67044365e6000e78c"),
+    ("verify --n 6 --d 4 --epsilon 1", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fvector --n 7 --d 3", 0,
+     "d8163f6d457f002240620d0b0814901a7059c6b3003ef122a0a95e304e5edeae"),
+    ("construct --n 6 --d 4", 0,
+     "740c7ef0bf32f4dae08edcdb8d24b4efe3f1346f95471c945be7191ad8a47982"),
+    ("facets --n 7 --d 4 --format signed", 0,
+     "ced76b9bf7f41f840d7ece4ac0405e7b0bce6f3b2682c99cadb39f1b6183ba58"),
+    ("examples", 0,
+     "874ff08fd4b9c53728c323fdce61bb14d9ebaec90d5c75efd7037cfcfc9af9fa"),
+    ("surgery", 0,
+     "4d2ded0e08c0d02eb81d485f3ca84d20ea2561b3230b927ba2c2a1ee3857445f"),
+    ("classify --d 5", 0,
+     "7f6c0e04475bcb3f09c938a2b1f8e9b22daf90dae5244c4a2f21d873a88d4e01"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", RECORDED_OUTPUTS)
+def test_output_matches_recording(capsys, command, code, digest):
+    got, out, _ = run_cli(capsys, *command.split())
+    assert (hashlib.sha256(out.encode()).hexdigest(), got) == (digest, code)

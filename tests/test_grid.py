@@ -1,5 +1,6 @@
 """The geometric route against the combinatorial one on every pair
-2 <= d <= n <= 8 that the acceptance suite's ORACLE_PAIRS leave out.
+2 <= d <= n <= 8 that the acceptance suite's ORACLE_PAIRS leave out, and on
+the eight n = 9 pairs behind the ``slow`` marker (``pytest -m slow``).
 
 For each pair the hull of the projected deformed cube must have exactly the
 facets of the signed-label criterion, share the cube's
@@ -20,7 +21,7 @@ GRID = [
     for n in range(2, 9)
     for d in range(2, n + 1)
     if (n, d) not in ORACLE_PAIRS
-]
+] + [pytest.param(9, d, marks=pytest.mark.slow) for d in range(2, 10)]
 
 
 @pytest.mark.parametrize("n,d", GRID)

@@ -5,14 +5,16 @@ from math import lcm
 
 import pytest
 
+from ncpoly.deformed import projected_cube
 from ncpoly.errors import (
     EmptyPolytopeError,
     SpanError,
     UnboundedPolytopeError,
 )
-from ncpoly.intops import cramer_left_kernel
+from ncpoly.intops import cramer_left_kernel, int_rank
 from ncpoly.polytope import (
     HPolytope,
+    IncidenceStructure,
     VPolytope,
     canonical_inequality,
     f_vector,
@@ -22,6 +24,7 @@ from ncpoly.polytope import (
     hypercube_graph_iso,
     is_cubical,
     to_off,
+    vertices_and_tight_sets,
     vertices_from_hrep,
 )
 
@@ -254,6 +257,13 @@ def test_json_round_trip_fields():
     assert di["vertex_count"] == 4 and di["facet_count"] == 4
 
 
+def test_incidence_json_ignores_call_history():
+    inc = facets_from_vrep(cube_vpoly(3))
+    before = inc.to_json_dict()
+    f_vector(inc)
+    assert inc.to_json_dict() == before
+
+
 def test_random_3d_hulls_close_up():
     # completeness check for the oracle: on random rational point sets the
     # boundary must satisfy Euler's formula and be edge-closed
@@ -344,10 +354,9 @@ def test_hull_matches_brute_force_reference():
         checked += 1
 
 
-def test_random_box_cuts_round_trip():
-    # H -> V -> H -> V on boxes cut by random half-spaces that keep the origin:
-    # every facet found is one of the given inequalities, and the facets
-    # alone give back the same vertices
+def _random_box_cuts():
+    """Thirty boxes [-3, 3]^d, d = 2..4, cut by random half-spaces that keep
+    the origin."""
     rng = random.Random(5)
     for trial in range(30):
         d = 2 + trial % 3
@@ -356,9 +365,75 @@ def test_random_box_cuts_round_trip():
             ([rng.randint(-3, 3) for _ in range(d)], rng.randint(1, 6))
             for _ in range(rng.randint(1, 4))
         ]
-        h = HPolytope(d, list(h.inequalities) + [c for c in cuts if any(c[0])])
+        yield HPolytope(d, list(h.inequalities) + [c for c in cuts if any(c[0])])
+
+
+def test_random_box_cuts_round_trip():
+    # H -> V -> H -> V: every facet found is one of the given inequalities,
+    # and the facets alone give back the same vertices
+    for h in _random_box_cuts():
+        d = h.dim
         v = vertices_from_hrep(h)
         inc = facets_from_vrep(v)
         given = {canonical_inequality(n, r) for n, r in h.inequalities}
         assert set(inc.inequalities) <= given
         assert vertices_from_hrep(HPolytope(d, inc.inequalities)).points == v.points
+
+
+def test_tight_sets_match_fraction_evaluation():
+    # the zero sets the H->V hull returns are exactly the inequalities that
+    # hold with equality at each vertex, evaluated in exact rationals
+    for h in _random_box_cuts():
+        for point, tight in vertices_and_tight_sets(h):
+            assert tight == {
+                i
+                for i, (normal, rhs) in enumerate(h.inequalities)
+                if sum(a * x for a, x in zip(normal, point)) == rhs
+            }
+
+
+def _intersection_closure(incidence):
+    faces, frontier = set(incidence), set(incidence)
+    while frontier:
+        frontier = {f & g for f in frontier for g in incidence if f & g} - faces
+        faces |= frontier
+    return faces
+
+
+def test_graded_dimension_is_affine_rank():
+    # on point sets with non-vertex boundary points: the lattice graded from
+    # incidence alone holds every nonempty intersection of facets, each at
+    # the affine rank of its points
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 40:
+        v = _random_point_set(rng, 2 + checked % 3)
+        try:
+            inc = facets_from_vrep(v)
+        except SpanError:
+            continue
+        mult = lcm(*(x.denominator for p in v.points for x in p))
+        ipts = [tuple(int(x * mult) for x in p) for p in v.points]
+        lattice = face_lattice(inc)
+        faces = [f for fs in lattice.values() for f in fs]
+        assert len(faces) == len(set(faces))
+        assert set(faces) == _intersection_closure(inc.incidence)
+        for k, fs in lattice.items():
+            for f in fs:
+                base, *rest = (ipts[i] for i in sorted(f))
+                assert int_rank([[a - b for a, b in zip(p, base)] for p in rest]) == k
+        checked += 1
+
+
+def test_coordinate_free_lattice_is_the_same():
+    rng = random.Random(7)
+    structures = [facets_from_vrep(projected_cube(5, 4).shadow)]
+    while len(structures) < 16:
+        try:
+            structures.append(facets_from_vrep(_random_point_set(rng, 2 + len(structures) % 3)))
+        except SpanError:
+            continue
+    for inc in structures:
+        bare = IncidenceStructure(inc.vertex_count, inc.incidence)
+        assert face_lattice(bare) == face_lattice(inc)
+        assert f_vector(bare) == f_vector(inc)

@@ -8,17 +8,20 @@ with 0 < eps <= 1.  Projecting a suitable (certified) instance to its last d
 coordinates yields a cubical d-polytope whose low skeleton is that of the
 n-cube.  The certificate checks that every maximal minor of the deformation
 matrix keeps its eps=0 sign, over all sign choices that can occur.
+
+The deformation matrix is written once, in ``amatrix_row``, with integer
+entries: the certificate and the positive-circuit test read it directly, and
+the cube's normals (``constraint_row``) are its rows over the rationals.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
 from . import signvec
 from .errors import ConstructionError, NcpolyError, SkeletonViolationError
-from .intops import bareiss_det, int_row
+from .intops import bareiss_det
 from .polytope import (
     HPolytope,
     IncidenceStructure,
@@ -29,14 +32,27 @@ from .polytope import (
 )
 
 
-def constraint_row(n, k, sigma, epsilon):
-    """Normal vector of the side-sigma inequality of constraint k (1-based)."""
+def amatrix_row(n, d, k, sigma, epsilon):
+    """Row k of the n x (n-d) deformation matrix for sign choice sigma, as
+    integers: entry j < k is (-1)^k binom(k-2, j-1), entry k is sigma*eps.
+    A row that carries the eps entry is scaled by eps's denominator, which
+    keeps the sign of every minor and of every left-kernel entry."""
     eps = Fraction(epsilon)
-    row = [Fraction(0)] * n
-    for j in range(1, k):
-        row[j - 1] = Fraction((-1) ** k * comb(k - 2, j - 1))
-    row[k - 1] = sigma * eps
+    width = n - d
+    scale = eps.denominator if k <= width else 1
+    row = [0] * width
+    for j in range(1, min(k, width + 1)):
+        row[j - 1] = (-1) ** k * comb(k - 2, j - 1) * scale
+    if k <= width:
+        row[k - 1] = sigma * eps.numerator
     return tuple(row)
+
+
+def constraint_row(n, k, sigma, epsilon):
+    """Normal vector of the side-sigma inequality of constraint k (1-based):
+    row k of the n x n deformation matrix, as Fractions."""
+    q = Fraction(epsilon).denominator
+    return tuple(Fraction(x, q) for x in amatrix_row(n, 0, k, sigma, epsilon))
 
 
 def constraint_rhs(k, epsilon):
@@ -57,18 +73,6 @@ def build_deformed_cube(n, epsilon) -> HPolytope:
     return HPolytope(n, ineqs)
 
 
-def amatrix_row(n, d, k, sigma, epsilon):
-    """Row k of the n x (n-d) deformation matrix for sign choice sigma."""
-    eps = Fraction(epsilon)
-    width = n - d
-    row = [Fraction(0)] * width
-    for j in range(1, min(k, width + 1)):
-        row[j - 1] = Fraction((-1) ** k * comb(k - 2, j - 1))
-    if k <= width:
-        row[k - 1] = sigma * eps
-    return tuple(row)
-
-
 def certify_epsilon(n, d, epsilon) -> bool:
     """Sign-stability certificate for the deformation matrix minors.
 
@@ -78,22 +82,21 @@ def certify_epsilon(n, d, epsilon) -> bool:
     """
     if n == d:
         return True
-    eps = Fraction(epsilon)
     width = n - d
     for rows in combinations(range(2, n + 1), width):
+        # at eps = 0 the signs sigma do not enter the matrix
+        d0 = bareiss_det([amatrix_row(n, d, k, 1, 0) for k in rows])
+        if d0 == 0:
+            return False
         sign_rows = [k for k in rows if k <= width]
         for signs in product((-1, 1), repeat=len(sign_rows)):
             sigma = dict(zip(sign_rows, signs))
-            at_eps = [int_row(amatrix_row(n, d, k, sigma.get(k, 1), eps)) for k in rows]
-            at_zero = [int_row(amatrix_row(n, d, k, sigma.get(k, 1), 0)) for k in rows]
-            dv = bareiss_det(at_eps)
-            d0 = bareiss_det(at_zero)
-            if d0 == 0 or dv == 0 or (dv > 0) != (d0 > 0):
+            dv = bareiss_det([amatrix_row(n, d, k, sigma.get(k, 1), epsilon) for k in rows])
+            if dv == 0 or (dv > 0) != (d0 > 0):
                 return False
     return True
 
 
-@lru_cache(maxsize=None)
 def choose_epsilon(n, d) -> Fraction:
     """Largest epsilon in {1/2, 1/4, 1/8, ...} passing the certificate."""
     for e in range(1, 65):
@@ -191,7 +194,6 @@ class ProjectedCube:
     shadow: VPolytope
 
 
-@lru_cache(maxsize=None)
 def projected_cube(n, d, epsilon=None) -> ProjectedCube:
     """Build the certified projection pipeline for parameters (n, d)."""
     if not n >= d >= 2:

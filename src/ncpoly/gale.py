@@ -15,14 +15,13 @@ The closed-form count and the positive-circuit test over the deformation
 matrix give two independent routes to the same facet set.
 """
 
-from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
 from . import signvec
 from .deformed import amatrix_row
 from .errors import FormulaError
-from .intops import cramer_left_kernel, int_row
+from .intops import left_kernel
 
 
 def gap_even(support) -> bool:
@@ -96,17 +95,13 @@ def induced_rows_sigma(alpha):
 
 def is_positive_circuit(n, d, sigma, rows, epsilon) -> bool:
     """True when the selected deformation-matrix rows have rank n-d and a
-    strictly one-signed linear dependence."""
+    strictly one-signed linear dependence.  ``sigma`` maps a row index to its
+    sign; rows it does not name take +1."""
     if len(rows) != n - d + 1:
         raise ValueError("need exactly n-d+1 rows")
     if n == d:
         return True
-    eps = Fraction(epsilon)
-    if isinstance(sigma, dict):
-        sig = sigma
-    else:
-        sig = {k: s for k, s in zip(range(1, n + 1), sigma)}
-    v = cramer_left_kernel([int_row(amatrix_row(n, d, k, sig.get(k, 1), eps)) for k in rows])
+    v = left_kernel([amatrix_row(n, d, k, sigma.get(k, 1), epsilon) for k in rows])
     return v is not None and all(x > 0 for x in v)
 
 

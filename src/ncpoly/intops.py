@@ -3,7 +3,9 @@
 These are the kernels behind the eps certificate, the positive-circuit test,
 the chirotopes and the hull.  Everything works on plain Python integers
 (arbitrary precision), with fraction-free eliminations so intermediate
-values stay integral.  Rational rows enter through ``int_row``.
+values stay integral.  Determinants come from ``bareiss_det``; rank, right
+kernels and left kernels all come from the one ``echelon`` routine.
+Rational rows enter through ``int_row``.
 """
 
 from math import gcd, lcm
@@ -72,96 +74,51 @@ def bareiss_det(rows):
     return sign * m[n - 1][n - 1]
 
 
-def int_rank(rows):
-    """Rank of a rectangular integer matrix.
+def echelon(rows):
+    """Fraction-free echelon form of the rows, taken greedily in input order.
 
-    Gaussian elimination with cross-multiplication; rows are reduced to
-    primitive form after each step to keep entries small.
+    Each row is reduced against the rows kept before it by cross-multiplying,
+    then divided by its content.  It is kept when a nonzero entry remains,
+    with its first nonzero column as pivot.
+    Returns {index in ``rows``: (reduced row, pivot column)} in input order,
+    so its length is the rank.  Stops once the rank equals the row width.
     """
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    col = 0
-    while rank < len(m) and col < cols:
-        pivot_row = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            t = m[i][col]
+    red = {}
+    for i, row in enumerate(rows):
+        res = list(row)
+        for prow, pc in red.values():
+            t = res[pc]
             if t:
-                row = [pv * a - t * b for a, b in zip(m[i], m[rank])]
-                m[i] = list(primitive(row))
-        rank += 1
-        col += 1
-    return rank
+                pv = prow[pc]
+                res = [pv * a - t * b for a, b in zip(res, prow)]
+        res = primitive(res)
+        if any(res):
+            red[i] = res, next(c for c, x in enumerate(res) if x)
+            if len(red) == len(res):
+                break
+    return red
 
 
-def cramer_left_kernel(rows):
-    """Left kernel of an (r+1) x r integer matrix of rank r.
-
-    Returns the primitive integer vector v with sum_i v[i]*rows[i] = 0,
-    normalized so its first nonzero entry is positive.  Returns None when
-    the matrix has rank below r (every signed minor vanishes).
-    """
-    r1 = len(rows)
-    r = r1 - 1
-    if any(len(row) != r for row in rows):
-        raise ValueError("need one more row than columns")
-    v = []
-    s = 1
-    for i in range(r1):
-        sub = rows[:i] + rows[i + 1:]
-        v.append(s * bareiss_det(sub))
-        s = -s
-    if not any(v):
-        return None
-    v = primitive(v)
-    for x in v:
-        if x:
-            return v if x > 0 else tuple(-y for y in v)
-    return None
-
-
-def reduce_row(row, red):
-    """Reduce an integer row against echelon rows, cross-multiplying.
-
-    ``red`` is a list of (row, pivot_col) pairs where each row has its first
-    nonzero entry at pivot_col.  The result is primitive; it is the zero
-    vector exactly when ``row`` lies in the span of the echelon rows.
-    """
-    res = list(row)
-    for prow, pc in red:
-        t = res[pc]
-        if t:
-            pv = prow[pc]
-            res = [pv * a - t * b for a, b in zip(res, prow)]
-    return primitive(res)
+def int_rank(rows):
+    """Rank of a rectangular integer matrix."""
+    return len(echelon(rows))
 
 
 def echelon_kernel(red, width):
     """Right kernel vector of a rank-deficient-by-one echelon system.
 
-    ``red`` holds ``width - 1`` independent (row, pivot_col) pairs over
+    ``red`` is an ``echelon`` of ``width - 1`` independent rows over
     ``width`` columns.  Returns the primitive integer vector u with
     row . u = 0 for every row, sign-normalized on its first nonzero entry.
     """
-    pivots = {pc for _, pc in red}
+    pivots = {pc for _, pc in red.values()}
     free = next(c for c in range(width) if c not in pivots)
     scale = 1
-    for prow, pc in red:
+    for prow, pc in red.values():
         scale *= prow[pc]
     u = [0] * width
     u[free] = scale if scale > 0 else -scale
-    for prow, pc in reversed(red):
+    for prow, pc in reversed(red.values()):
         s = sum(prow[j] * u[j] for j in range(width) if j != pc and u[j])
         q, rem = divmod(-s, prow[pc])
         if rem:
@@ -172,3 +129,17 @@ def echelon_kernel(red, width):
         if x:
             return u if x > 0 else tuple(-y for y in u)
     raise ArithmeticError("zero kernel vector")
+
+
+def left_kernel(rows):
+    """Left kernel of an (r+1) x r integer matrix of rank r.
+
+    Returns the primitive integer vector v with sum_i v[i]*rows[i] = 0,
+    normalized so its first nonzero entry is positive: the right kernel of
+    the transpose.  Returns None when the matrix has rank below r.
+    """
+    r = len(rows) - 1
+    if any(len(row) != r for row in rows):
+        raise ValueError("need one more row than columns")
+    red = echelon(list(zip(*rows)))
+    return echelon_kernel(red, r + 1) if len(red) == r else None

@@ -22,13 +22,7 @@ from .errors import (
     SpanError,
     UnboundedPolytopeError,
 )
-from .intops import (
-    echelon_kernel,
-    int_rank,
-    int_row,
-    primitive,
-    reduce_row,
-)
+from .intops import echelon, echelon_kernel, int_rank, int_row, primitive
 
 
 class HPolytope:
@@ -166,22 +160,10 @@ def _extreme_rays(rows, width):
     Returns (ray, zero set) pairs: a primitive integer ray and the frozenset
     of row indices on which it vanishes.
     """
-    basis, red = [], []
-    for i, row in enumerate(rows):
-        res = reduce_row(row, red)
-        if any(res):
-            basis.append(i)
-            red.append((res, next(j for j, x in enumerate(res) if x)))
-            if len(basis) == width:
-                break
+    basis = list(echelon(rows))
     rays, zeros = [], []
     for i in basis:
-        others = []
-        for j in basis:
-            if j != i:
-                res = reduce_row(rows[j], others)
-                others.append((res, next(c for c, x in enumerate(res) if x)))
-        ray = echelon_kernel(others, width)
+        ray = echelon_kernel(echelon([rows[j] for j in basis if j != i]), width)
         if sum(a * b for a, b in zip(rows[i], ray)) < 0:
             ray = tuple(-x for x in ray)
         rays.append(ray)

@@ -40,6 +40,8 @@ def verify_skeleton_equivalence(inc: IncidenceStructure, n, r) -> bool:
     of the structure of the same dimension, and (b) the structure has no
     further faces of dimension <= r.
     """
+    if r < 0:
+        raise ValueError("need r >= 0")
     if inc.labels is None:
         raise ValueError("skeleton comparison needs vertex labels")
     if len(set(inc.labels)) != inc.vertex_count:

@@ -140,6 +140,13 @@ def test_invalid_parameters_are_structured_errors(capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_verify_refuses_negative_r(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n", "5", "--d", "4", "--r", "-1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_surgery_deterministic(capsys):
     _, first, _ = run_cli(capsys, "surgery")
     _, second, _ = run_cli(capsys, "surgery")
@@ -180,6 +187,12 @@ RECORDED_OUTPUTS = [
      "4d2ded0e08c0d02eb81d485f3ca84d20ea2561b3230b927ba2c2a1ee3857445f"),
     ("classify --d 5", 0,
      "7f6c0e04475bcb3f09c938a2b1f8e9b22daf90dae5244c4a2f21d873a88d4e01"),
+    # epsilon numerators other than 1, recorded from the code that built the
+    # deformation rows over the rationals
+    ("construct --n 7 --d 3 --epsilon 3/37", 0,
+     "9f63b0c64ad4ec4d6e9ee26b9a4b03f7fa22ff00065878fe089ccae2c62082ca"),
+    ("verify --n 5 --d 3 --epsilon 2/9", 0,
+     "88f3663a06f329844a3969438241921b0d78e15102c8c6e6d29718f0fe9964f1"),
 ]
 
 

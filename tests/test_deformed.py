@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -9,6 +10,7 @@ from ncpoly.deformed import (
     build_deformed_cube,
     certify_epsilon,
     choose_epsilon,
+    constraint_row,
     cube_vertices_labeled,
     project_last,
     projected_cube,
@@ -72,7 +74,7 @@ def test_certify_reference_minors_nonzero_at_zero():
     n, d = 5, 3
     width = n - d
     for rows in combinations(range(2, n + 1), width):
-        assert bareiss_det([int_row(amatrix_row(n, d, k, 1, 0)) for k in rows]) != 0
+        assert bareiss_det([amatrix_row(n, d, k, 1, 0) for k in rows]) != 0
 
 
 def test_certify_stabilizes_down_the_ladder():
@@ -168,3 +170,87 @@ def test_projection_to_the_plane_is_a_polygon():
     assert inc.facet_count == 64
     assert all(len(f) == 2 for f in inc.incidence)
     assert f_vector(inc) == (64, 64)
+
+
+# (n, d) -> e with choose_epsilon(n, d) == 1/2^e, recorded at the seed
+EPS_EXPONENT = {
+    (2, 2): 1, (3, 2): 1, (3, 3): 1, (4, 2): 1, (4, 3): 1, (4, 4): 1,
+    (5, 2): 2, (5, 3): 1, (5, 4): 1, (5, 5): 1, (6, 2): 3, (6, 3): 2,
+    (6, 4): 1, (6, 5): 1, (6, 6): 1, (7, 2): 4, (7, 3): 3, (7, 4): 2,
+    (7, 5): 1, (7, 6): 1, (7, 7): 1, (8, 2): 6, (8, 3): 4, (8, 4): 3,
+    (8, 5): 2, (8, 6): 1, (8, 7): 1, (8, 8): 1, (9, 2): 7, (9, 3): 6,
+    (9, 4): 4, (9, 5): 3, (9, 6): 2, (9, 7): 1, (9, 8): 1, (9, 9): 1,
+}
+
+
+def test_choose_epsilon_matches_recorded_exponents():
+    got = {
+        (n, d): choose_epsilon(n, d) for n in range(2, 10) for d in range(2, n + 1)
+    }
+    assert got == {nd: Fraction(1, 2 ** e) for nd, e in EPS_EXPONENT.items()}
+
+
+def _fraction_amatrix_row(n, d, k, sigma, eps):
+    # the deformation-matrix row over the rationals, written out separately
+    width = n - d
+    row = [Fraction(0)] * width
+    for j in range(1, min(k, width + 1)):
+        row[j - 1] = Fraction((-1) ** k * comb(k - 2, j - 1))
+    if k <= width:
+        row[k - 1] = sigma * eps
+    return tuple(row)
+
+
+def test_integer_rows_are_the_cleared_rational_rows():
+    # the integer row is the rational row times the lcm of its denominators;
+    # at d = 0 its rational view is the cube's normal vector
+    rng = random.Random(5150)
+    dyadic = [Fraction(1, 2 ** e) for e in rng.sample(range(1, 65), 4)]
+    for eps in [Fraction(0), Fraction(1), Fraction(3, 37), Fraction(2, 9), *dyadic]:
+        for n in range(1, 10):
+            for k in range(1, n + 1):
+                for sigma in (-1, 1):
+                    for d in range(n + 1):
+                        want = int_row(_fraction_amatrix_row(n, d, k, sigma, eps))
+                        assert amatrix_row(n, d, k, sigma, eps) == want, (n, d, k, sigma, eps)
+                    want = _fraction_amatrix_row(n, 0, k, sigma, eps)
+                    assert constraint_row(n, k, sigma, eps) == want
+
+
+def _leibniz_det(rows):
+    total = Fraction(0)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _certify_by_leibniz(n, d, eps):
+    width = n - d
+    for rows in combinations(range(2, n + 1), width):
+        sign_rows = [k for k in rows if k <= width]
+        for signs in product((-1, 1), repeat=len(sign_rows)):
+            sigma = dict(zip(sign_rows, signs))
+            at = [
+                _leibniz_det([_fraction_amatrix_row(n, d, k, sigma.get(k, 1), e) for k in rows])
+                for e in (eps, 0)
+            ]
+            if at[1] == 0 or at[0] * at[1] <= 0:
+                return False
+    return True
+
+
+def test_certificate_matches_rational_determinants():
+    # eps = 1 makes some minors vanish, e.g. rows {2, 3} of (4, 2)
+    accepted = refused = 0
+    for eps in (Fraction(3, 37), Fraction(2, 9), Fraction(1, 3), Fraction(4, 5), Fraction(5, 7), 1):
+        for n in range(3, 7):
+            for d in range(2, n):
+                want = _certify_by_leibniz(n, d, eps)
+                assert certify_epsilon(n, d, eps) == want, (n, d, eps)
+                accepted += want
+                refused += not want
+    assert accepted > 30 and refused > 5

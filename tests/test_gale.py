@@ -14,7 +14,7 @@ from ncpoly.gale import (
     is_positive_circuit,
     to_sign_vector,
 )
-from ncpoly.intops import cramer_left_kernel
+from ncpoly.intops import left_kernel
 
 
 def test_special_value_n_equals_d():
@@ -128,7 +128,7 @@ def test_limit_matrix_positive_circuits_are_alternating_subsets(n, d):
     rows = _bbar_rows(n, d)
     size = n - d + 1
     for subset in combinations(range(2, n + 1), size):
-        v = cramer_left_kernel([rows[k] for k in subset])
+        v = left_kernel([rows[k] for k in subset])
         assert v is not None
         positive = all(x > 0 for x in v) or all(x < 0 for x in v)
         assert positive == _is_alternating(subset), subset

@@ -11,7 +11,7 @@ from ncpoly.errors import (
     SpanError,
     UnboundedPolytopeError,
 )
-from ncpoly.intops import cramer_left_kernel, int_rank
+from ncpoly.intops import left_kernel, int_rank
 from ncpoly.polytope import (
     HPolytope,
     IncidenceStructure,
@@ -312,7 +312,7 @@ def _brute_force_facets(v):
     hom = [tuple(int(x * mult) for x in p) + (1,) for p in v.points]
     found = {}
     for subset in combinations(hom, v.dim):
-        u = cramer_left_kernel([list(col) for col in zip(*subset)])
+        u = left_kernel([list(col) for col in zip(*subset)])
         if u is None:
             continue
         vals = [sum(a * b for a, b in zip(u, p)) for p in hom]

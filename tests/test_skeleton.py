@@ -51,6 +51,14 @@ def test_skeleton_equivalence_needs_labels():
         verify_skeleton_equivalence(inc, 2, 0)
 
 
+def test_skeleton_equivalence_rejects_negative_r():
+    # a negative r would compare no faces and pass vacuously
+    inc = facets_from_vrep(_labeled_cube(3))
+    for r in (-1, -2):
+        with pytest.raises(ValueError):
+            verify_skeleton_equivalence(inc, 3, r)
+
+
 def test_shadow_skeleton_equivalence(constructed):
     pc, inc = constructed(5, 4)
     assert verify_skeleton_equivalence(inc, 5, 1)

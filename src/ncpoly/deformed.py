@@ -9,9 +9,11 @@ coordinates yields a cubical d-polytope whose low skeleton is that of the
 n-cube.  The certificate checks that every maximal minor of the deformation
 matrix keeps its eps=0 sign, over all sign choices that can occur.
 
-The deformation matrix is written once, in ``amatrix_row``, with integer
-entries: the certificate and the positive-circuit test read it directly, and
-the cube's normals (``constraint_row``) are its rows over the rationals.
+The deformation matrix is written once, in ``deformation_rows``, with
+integer entries.  Each caller builds the rows it needs in one call: the
+certificate its 2n signed rows and n eps = 0 rows, the positive-circuit test
+its n-d+1 rows; the cube's normals (``constraint_row``) are its rows over
+the rationals.
 """
 
 from dataclasses import dataclass
@@ -32,27 +34,32 @@ from .polytope import (
 )
 
 
-def amatrix_row(n, d, k, sigma, epsilon):
-    """Row k of the n x (n-d) deformation matrix for sign choice sigma, as
-    integers: entry j < k is (-1)^k binom(k-2, j-1), entry k is sigma*eps.
-    A row that carries the eps entry is scaled by eps's denominator, which
-    keeps the sign of every minor and of every left-kernel entry."""
+def deformation_rows(n, d, signed_rows, epsilon):
+    """Rows of the n x (n-d) deformation matrix, as integers, one for each
+    (k, sigma) in ``signed_rows``: entry j < k is (-1)^k binom(k-2, j-1),
+    entry k is sigma*eps.  A row that carries the eps entry is scaled by
+    eps's denominator, which keeps the sign of every minor and of every
+    left-kernel entry."""
     eps = Fraction(epsilon)
+    p, q = eps.numerator, eps.denominator
     width = n - d
-    scale = eps.denominator if k <= width else 1
-    row = [0] * width
-    for j in range(1, min(k, width + 1)):
-        row[j - 1] = (-1) ** k * comb(k - 2, j - 1) * scale
-    if k <= width:
-        row[k - 1] = sigma * eps.numerator
-    return tuple(row)
+    return [
+        tuple([
+            (-1) ** k * comb(k - 2, j - 1) * (q if k <= width else 1) if j < k
+            else sigma * p if j == k
+            else 0
+            for j in range(1, width + 1)
+        ])
+        for k, sigma in signed_rows
+    ]
 
 
 def constraint_row(n, k, sigma, epsilon):
     """Normal vector of the side-sigma inequality of constraint k (1-based):
     row k of the n x n deformation matrix, as Fractions."""
     q = Fraction(epsilon).denominator
-    return tuple(Fraction(x, q) for x in amatrix_row(n, 0, k, sigma, epsilon))
+    (row,) = deformation_rows(n, 0, [(k, sigma)], epsilon)
+    return tuple(Fraction(x, q) for x in row)
 
 
 def constraint_rhs(k, epsilon):
@@ -83,15 +90,20 @@ def certify_epsilon(n, d, epsilon) -> bool:
     if n == d:
         return True
     width = n - d
+    # each of the 2n signed rows and the n eps = 0 rows is built once
+    signed = [(k, sigma) for k in range(1, n + 1) for sigma in (-1, 1)]
+    at_eps = dict(zip(signed, deformation_rows(n, d, signed, epsilon)))
+    at_zero = dict(enumerate(deformation_rows(n, d, [(k, 1) for k in range(1, n + 1)], 0), 1))
     for rows in combinations(range(2, n + 1), width):
         # at eps = 0 the signs sigma do not enter the matrix
-        d0 = bareiss_det([amatrix_row(n, d, k, 1, 0) for k in rows])
+        d0 = bareiss_det([at_zero[k] for k in rows])
         if d0 == 0:
             return False
-        sign_rows = [k for k in rows if k <= width]
-        for signs in product((-1, 1), repeat=len(sign_rows)):
-            sigma = dict(zip(sign_rows, signs))
-            dv = bareiss_det([amatrix_row(n, d, k, sigma.get(k, 1), epsilon) for k in rows])
+        # rows come in increasing order, so those carrying eps come first
+        m = sum(k <= width for k in rows)
+        unsigned = [at_eps[k, 1] for k in rows[m:]]
+        for signs in product((-1, 1), repeat=m):
+            dv = bareiss_det([at_eps[ks] for ks in zip(rows, signs)] + unsigned)
             if dv == 0 or (dv > 0) != (d0 > 0):
                 return False
     return True

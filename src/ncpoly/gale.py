@@ -19,7 +19,7 @@ from itertools import combinations, product
 from math import comb
 
 from . import signvec
-from .deformed import amatrix_row
+from .deformed import deformation_rows
 from .errors import FormulaError
 from .intops import left_kernel
 
@@ -96,16 +96,25 @@ def induced_rows_sigma(alpha):
 def is_positive_circuit(n, d, sigma, rows, epsilon) -> bool:
     """True when the selected deformation-matrix rows have rank n-d and a
     strictly one-signed linear dependence.  ``sigma`` maps a row index to its
-    sign; rows it does not name take +1."""
+    sign; rows it does not name take +1.
+
+    Raises ValueError unless ``rows`` holds exactly n-d+1 distinct indices
+    in 1..n.
+    """
     if len(rows) != n - d + 1:
         raise ValueError("need exactly n-d+1 rows")
+    if not all(0 < k <= n for k in rows) or len(set(rows)) != len(rows):
+        raise ValueError(f"row indices must be distinct and lie in 1..{n}")
     if n == d:
         return True
-    v = left_kernel([amatrix_row(n, d, k, sigma.get(k, 1), epsilon) for k in rows])
+    v = left_kernel(deformation_rows(n, d, [(k, sigma.get(k, 1)) for k in rows], epsilon))
     return v is not None and all(x > 0 for x in v)
 
 
 def alpha_is_positive_circuit(n, d, alpha, epsilon) -> bool:
+    """The positive-circuit test for the cube face named by the signed label
+    alpha.  Raises ValueError unless alpha has n-d+1 elements, none of them
+    outside +-(1..n), and is disjoint from -alpha."""
     rows, sigma = induced_rows_sigma(alpha)
     return is_positive_circuit(n, d, sigma, rows, epsilon)
 

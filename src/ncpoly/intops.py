@@ -5,20 +5,17 @@ the chirotopes and the hull.  Everything works on plain Python integers
 (arbitrary precision), with fraction-free eliminations so intermediate
 values stay integral.  Determinants come from ``bareiss_det``; rank, right
 kernels and left kernels all come from the one ``echelon`` routine.
-Rational rows enter through ``int_row``.
+Rational rows enter through ``int_row``.  The innermost loops (the content
+gcd, the back-substitution dot product) are single calls into C builtins.
 """
 
 from math import gcd, lcm
+from operator import mul
 
 
 def vec_content(v):
-    """gcd of the entries, 0 for an all-zero vector."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
-            return 1
-    return g
+    """gcd of the entries, 0 for an all-zero or empty vector."""
+    return gcd(*v)
 
 
 def primitive(v):
@@ -119,7 +116,8 @@ def echelon_kernel(red, width):
     u = [0] * width
     u[free] = scale if scale > 0 else -scale
     for prow, pc in reversed(red.values()):
-        s = sum(prow[j] * u[j] for j in range(width) if j != pc and u[j])
+        # u[pc] is still 0 here, so the pivot column adds nothing
+        s = sum(map(mul, prow, u))
         q, rem = divmod(-s, prow[pc])
         if rem:
             raise ArithmeticError("non-integral back-substitution")

@@ -14,8 +14,8 @@ from .deformed import (
     certify_epsilon,
     choose_epsilon,
     cube_faces_match,
-    projected_cube,
-    shadow_incidence,
+    cube_vertices_labeled,
+    project_last,
 )
 from .errors import ConstructionError
 from .polytope import (
@@ -82,30 +82,31 @@ def upper_face_subdivision(n, d):
     tiling the d-polytope.  Verifies the tiling and that no face of
     dimension <= floor(d/2)-1 is interior; returns the cell complex.
     """
-    if n < d + 1:
-        raise ValueError("need n >= d+1")
+    if d < 2 or n < d + 1:
+        raise ValueError("need n >= d+1 and d >= 2")
     eps = choose_epsilon(n, d + 1)
+    halved = False
     while not certify_epsilon(n, d, eps):
         eps = eps / 2
-    upper = projected_cube(n, d + 1, eps)
-    lower = projected_cube(n, d, eps)
-    inc_upper = shadow_incidence(upper)
-    inc_lower = shadow_incidence(lower)
+        halved = True
+    if halved and not certify_epsilon(n, d + 1, eps):
+        raise ConstructionError(f"epsilon {eps} fails the minor-sign certificate")
+    # both shadows come from one cube, so vertex i is the same in each
+    cube = cube_vertices_labeled(n, eps)
+    inc_upper = facets_from_vrep(project_last(cube, d + 1))
+    lower = project_last(cube, d)
+    inc_lower = facets_from_vrep(lower)
 
-    label_to_lower = {lab: i for i, lab in enumerate(lower.shadow.labels)}
-
-    cells = []
-    for facet, (normal, rhs) in zip(inc_upper.incidence, inc_upper.inequalities):
-        if normal[0] <= 0:
-            continue
-        cells.append(
-            frozenset(label_to_lower[inc_upper.labels[i]] for i in facet)
-        )
+    cells = [
+        frozenset(facet)
+        for facet, (normal, _) in zip(inc_upper.incidence, inc_upper.inequalities)
+        if normal[0] > 0
+    ]
     if not cells:
         raise ConstructionError("no upper facets found")
 
     covered = set().union(*cells)
-    if covered != set(range(len(lower.shadow.points))):
+    if covered != set(range(len(lower.points))):
         raise ConstructionError("cells do not cover every vertex")
 
     lower_facet_sets = [set(f) for f in inc_lower.incidence]
@@ -114,7 +115,7 @@ def upper_face_subdivision(n, d):
     cell_lattices = []
     for cell in cells:
         idx = sorted(cell)
-        sub = VPolytope(d, [lower.shadow.points[i] for i in idx])
+        sub = VPolytope(d, [lower.points[i] for i in idx])
         sub_inc = facets_from_vrep(sub)
         lat = face_lattice(sub_inc)
         cell_lattices.append(

@@ -6,12 +6,12 @@ from math import comb
 import pytest
 
 from ncpoly.deformed import (
-    amatrix_row,
     build_deformed_cube,
     certify_epsilon,
     choose_epsilon,
     constraint_row,
     cube_vertices_labeled,
+    deformation_rows,
     project_last,
     projected_cube,
     verify_combinatorial_cube,
@@ -74,7 +74,7 @@ def test_certify_reference_minors_nonzero_at_zero():
     n, d = 5, 3
     width = n - d
     for rows in combinations(range(2, n + 1), width):
-        assert bareiss_det([amatrix_row(n, d, k, 1, 0) for k in rows]) != 0
+        assert bareiss_det(deformation_rows(n, d, [(k, 1) for k in rows], 0)) != 0
 
 
 def test_certify_stabilizes_down_the_ladder():
@@ -203,18 +203,21 @@ def _fraction_amatrix_row(n, d, k, sigma, eps):
 
 def test_integer_rows_are_the_cleared_rational_rows():
     # the integer row is the rational row times the lcm of its denominators;
-    # at d = 0 its rational view is the cube's normal vector
+    # at d = 0 its rational view is the cube's normal vector.  One call
+    # returns the requested rows in the requested order, singly or together.
     rng = random.Random(5150)
     dyadic = [Fraction(1, 2 ** e) for e in rng.sample(range(1, 65), 4)]
     for eps in [Fraction(0), Fraction(1), Fraction(3, 37), Fraction(2, 9), *dyadic]:
         for n in range(1, 10):
-            for k in range(1, n + 1):
-                for sigma in (-1, 1):
-                    for d in range(n + 1):
-                        want = int_row(_fraction_amatrix_row(n, d, k, sigma, eps))
-                        assert amatrix_row(n, d, k, sigma, eps) == want, (n, d, k, sigma, eps)
-                    want = _fraction_amatrix_row(n, 0, k, sigma, eps)
-                    assert constraint_row(n, k, sigma, eps) == want
+            signed = [(k, sigma) for k in range(n, 0, -1) for sigma in (-1, 1)]
+            for d in range(n + 1):
+                want = [int_row(_fraction_amatrix_row(n, d, k, s, eps)) for k, s in signed]
+                assert deformation_rows(n, d, signed, eps) == want, (n, d, eps)
+                for (k, sigma), row in zip(signed, want):
+                    assert deformation_rows(n, d, [(k, sigma)], eps) == [row], (n, d, k, sigma, eps)
+            for k, sigma in signed:
+                want = _fraction_amatrix_row(n, 0, k, sigma, eps)
+                assert constraint_row(n, k, sigma, eps) == want
 
 
 def _leibniz_det(rows):
@@ -244,9 +247,12 @@ def _certify_by_leibniz(n, d, eps):
 
 
 def test_certificate_matches_rational_determinants():
-    # eps = 1 makes some minors vanish, e.g. rows {2, 3} of (4, 2)
+    # eps = 1 makes some minors vanish, e.g. rows {2, 3} of (4, 2); the
+    # seeded draws add eps p/q < 1 with q <= 40, accepted and refused alike
+    rng = random.Random(6106)
+    drawn = [Fraction(rng.randint(1, q - 1), q) for q in rng.sample(range(2, 41), 8)]
     accepted = refused = 0
-    for eps in (Fraction(3, 37), Fraction(2, 9), Fraction(1, 3), Fraction(4, 5), Fraction(5, 7), 1):
+    for eps in (Fraction(3, 37), Fraction(2, 9), Fraction(1, 3), Fraction(4, 5), Fraction(5, 7), 1, *drawn):
         for n in range(3, 7):
             for d in range(2, n):
                 want = _certify_by_leibniz(n, d, eps)

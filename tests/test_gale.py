@@ -94,6 +94,35 @@ def test_positive_circuit_vacuous_when_n_equals_d():
     assert is_positive_circuit(3, 3, {1: 1}, (2,), Fraction(1, 2))
 
 
+@pytest.mark.parametrize(
+    "n,d,rows",
+    [
+        (5, 2, (2, 3, 4, 9)),  # index past n
+        (5, 2, (0, 3, 4, 5)),  # row 0 would put sigma*eps in the last column
+        (5, 2, (-1, 3, 4, 5)),
+        (5, 2, (3, 3, 4, 5)),  # repeated row
+        (3, 3, (4,)),  # checked even where the test is vacuous
+    ],
+)
+def test_positive_circuit_rejects_bad_rows(n, d, rows):
+    with pytest.raises(ValueError):
+        is_positive_circuit(n, d, {}, rows, Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        frozenset({3, -3, 4, 5}),  # meets -alpha
+        frozenset({-1, 1, 2, -2}),
+        frozenset({2, 3, 4, 9}),
+        frozenset({0, 3, 4, 5}),
+    ],
+)
+def test_alpha_circuit_rejects_bad_labels(alpha):
+    with pytest.raises(ValueError):
+        alpha_is_positive_circuit(5, 2, alpha, Fraction(1, 4))
+
+
 def test_positive_circuit_equivalence_small():
     for n in range(2, 7):
         for d in range(2, n + 1):

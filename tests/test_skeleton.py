@@ -113,6 +113,23 @@ def test_upper_face_subdivision_5_4():
 def test_upper_face_subdivision_needs_room():
     with pytest.raises(ValueError):
         upper_face_subdivision(4, 4)
+    with pytest.raises(ValueError):
+        upper_face_subdivision(4, 1)
+
+
+# (5,2) and (6,3) halve the eps that certifies (n, d+1) before (n, d) passes
+@pytest.mark.parametrize(
+    "n,d,fvec",
+    [
+        (4, 2, (16, 22, 7)),
+        (4, 3, (16, 32, 22, 5)),
+        (5, 2, (32, 46, 15)),
+        (5, 3, (32, 60, 36, 7)),
+        (6, 3, (64, 192, 178, 49)),
+    ],
+)
+def test_upper_face_subdivision_fvectors(n, d, fvec):
+    assert upper_face_subdivision(n, d).f_vector() == fvec
 
 
 def _solve_remaining_f_entries(known, d):

@@ -49,10 +49,6 @@ class CubicalComplex:
         for k in sorted(self.faces_by_dim):
             yield from self.faces_by_dim[k]
 
-    def has_face(self, vset):
-        vset = frozenset(vset)
-        return any(vset in faces for faces in self.faces_by_dim.values())
-
     def validate(self):
         """Check the cubical-complex invariants; raise ConstructionError."""
         for k, faces in self.faces_by_dim.items():

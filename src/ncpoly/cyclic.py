@@ -39,6 +39,8 @@ def cyclic_configuration(n, d, ts=None) -> CyclicConfiguration:
     if ts is None:
         ts = tuple(range(1, n + 1))
     ts = tuple(Fraction(t) for t in ts)
+    if len(ts) != n:
+        raise ValueError("need one parameter per point")
     if any(a >= b for a, b in zip(ts, ts[1:])):
         raise ValueError("parameters must be strictly increasing")
     return CyclicConfiguration(n, d + 1, ts)

@@ -14,6 +14,11 @@ integer entries.  Each caller builds the rows it needs in one call: the
 certificate its 2n signed rows and n eps = 0 rows, the positive-circuit test
 its n-d+1 rows; the cube's normals (``constraint_row``) are its rows over
 the rationals.
+
+That the deformed cube is combinatorially the n-cube is read off the tight
+sets H->V returns, with no face lattice: ``_labeled_cube`` labels each vertex
+by its tight side of every pair and checks for 2^n distinct labels.  Every
+``cube_vertices_labeled``, and so every ``projected_cube``, runs that check.
 """
 
 from dataclasses import dataclass
@@ -21,14 +26,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from . import signvec
 from .errors import ConstructionError, NcpolyError, SkeletonViolationError
 from .intops import bareiss_det
 from .polytope import (
     HPolytope,
     IncidenceStructure,
     VPolytope,
-    face_lattice,
     facets_from_vrep,
     vertices_and_tight_sets,
 )
@@ -87,6 +90,8 @@ def certify_epsilon(n, d, epsilon) -> bool:
     that actually carry a diagonal epsilon entry, the maximal minor must be
     nonzero and agree in sign with its value at epsilon = 0.
     """
+    if not 0 < Fraction(epsilon) <= 1:
+        raise ValueError("epsilon must lie in (0, 1]")
     if n == d:
         return True
     width = n - d
@@ -127,60 +132,43 @@ def _sign_label(tight, n):
     return tuple(1 if 2 * k + 1 in tight else -1 for k in range(n))
 
 
-def cube_vertices_labeled(n, epsilon) -> VPolytope:
-    """Vertex description of the deformed cube, labeled by tight signs."""
-    verts = vertices_and_tight_sets(build_deformed_cube(n, epsilon))
+def _labeled_cube(h: HPolytope) -> VPolytope:
+    """Vertices of ``h``, labeled by tight signs, when ``h`` is a
+    combinatorial n-cube whose 2n inequalities come in pairs (2k, 2k+1) of
+    opposite facets; raises an NcpolyError otherwise.
+
+    H->V must give 2^n vertices, each tight on exactly one side of every
+    pair, with distinct labels.  That is enough: every vertex of an
+    n-polytope lies on at least n facets, and each facet is one of the
+    inequalities, so a vertex tight on exactly n of them is simple and all n
+    are facets.  The labels then run over all of {-1, +1}^n, every
+    inequality is a facet, and the vertex-facet incidence is the cube's,
+    which fixes the face lattice.
+    """
+    n = h.dim
+    verts = vertices_and_tight_sets(h)
     labels = [_sign_label(tight, n) for _, tight in verts]
     if None in labels:
         raise ConstructionError("vertex without a unique tight sign choice")
+    if not len(set(labels)) == len(labels) == 2 ** n:
+        raise ConstructionError(f"{len(verts)} vertices do not carry the 2^{n} sign labels")
     return VPolytope(n, [p for p, _ in verts], labels)
 
 
-def verify_combinatorial_cube(h: HPolytope) -> bool:
-    """True when the solution set is a combinatorial n-cube.
+def cube_vertices_labeled(n, epsilon) -> VPolytope:
+    """Vertex description of the deformed cube, labeled by tight signs;
+    raises ConstructionError unless it is a combinatorial n-cube."""
+    return _labeled_cube(build_deformed_cube(n, epsilon))
 
-    Checks 2^n vertices, a unique tight sign choice per vertex, and that the
-    face lattice (from the tight-constraint incidences) is the cube lattice.
-    """
-    n = h.dim
+
+def verify_combinatorial_cube(h: HPolytope) -> bool:
+    """True when the solution set is a combinatorial n-cube, its inequalities
+    paired as in ``build_deformed_cube``.  Reads only the H->V tight sets;
+    ``_labeled_cube`` says why that suffices."""
     try:
-        verts = vertices_and_tight_sets(h)
+        _labeled_cube(h)
     except NcpolyError:
         return False
-    if len(verts) != 2 ** n:
-        return False
-    labels = [_sign_label(tight, n) for _, tight in verts]
-    if None in labels or len(set(labels)) != 2 ** n:
-        return False
-    # every vertex has exactly n tight inequalities, so it is simple and each
-    # nonempty tight set is a facet: face_lattice gets a polytope's incidence
-    incidence = [
-        frozenset(i for i, (_, tight) in enumerate(verts) if j in tight)
-        for j in range(2 * n)
-    ]
-    if not all(incidence):
-        return False
-    struct = IncidenceStructure(len(verts), incidence)
-    return cube_faces_match(face_lattice(struct), labels, n, n - 1)
-
-
-def cube_faces_match(lattice, labels, n, top):
-    """Are the k-faces of ``lattice``, for every k <= top, exactly the faces
-    of the n-cube?  Vertex i of the lattice is the cube vertex labels[i], a
-    tuple in {-1, +1}^n; each cube k-face must appear as a k-face of the
-    lattice, and the counts must agree.
-    """
-    faces = {k: set(lattice.get(k, ())) for k in range(top + 1)}
-    if any(len(faces[k]) != signvec.cube_face_count(n, k) for k in faces):
-        return False
-    by_label = {lab: i for i, lab in enumerate(labels)}
-    for sv in signvec.all_faces(n, max_zeros=top):
-        want = frozenset(
-            by_label[signvec.vertex_tuple_from_bits(b, n)]
-            for b in signvec.vertices_bits(sv)
-        )
-        if want not in faces[signvec.face_dim(sv)]:
-            return False
     return True
 
 

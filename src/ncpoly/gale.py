@@ -78,10 +78,6 @@ def to_sign_vector(alpha, n):
     return tuple(sv)
 
 
-def alpha_from_sign_vector(sv):
-    return frozenset(s * (i + 1) for i, s in enumerate(sv) if s)
-
-
 def induced_rows_sigma(alpha):
     """Row subset and sign completion used by the positive-circuit test.
 

@@ -13,7 +13,6 @@ from .complexes import CubicalComplex
 from .deformed import (
     certify_epsilon,
     choose_epsilon,
-    cube_faces_match,
     cube_vertices_labeled,
     project_last,
 )
@@ -38,7 +37,8 @@ def verify_skeleton_equivalence(inc: IncidenceStructure, n, r) -> bool:
 
     (a) the vertex-label set of every cube face of dimension <= r is a face
     of the structure of the same dimension, and (b) the structure has no
-    further faces of dimension <= r.
+    further faces of dimension <= r.  Vertex i is the cube vertex labels[i],
+    a tuple in {-1, +1}^n.
     """
     if r < 0:
         raise ValueError("need r >= 0")
@@ -48,7 +48,19 @@ def verify_skeleton_equivalence(inc: IncidenceStructure, n, r) -> bool:
         raise ValueError("vertex labels must be distinct")
     if inc.vertex_count != 2 ** n:
         return False
-    return cube_faces_match(face_lattice(inc, up_to_dim=r), inc.labels, n, r)
+    lattice = face_lattice(inc, up_to_dim=r)
+    faces = {k: set(lattice.get(k, ())) for k in range(r + 1)}
+    if any(len(faces[k]) != signvec.cube_face_count(n, k) for k in faces):
+        return False
+    by_label = {lab: i for i, lab in enumerate(inc.labels)}
+    for sv in signvec.all_faces(n, max_zeros=r):
+        want = frozenset(
+            by_label[signvec.vertex_tuple_from_bits(b, n)]
+            for b in signvec.vertices_bits(sv)
+        )
+        if want not in faces[signvec.face_dim(sv)]:
+            return False
+    return True
 
 
 def dehn_sommerville_check(fvec, d) -> bool:

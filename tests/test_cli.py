@@ -65,6 +65,13 @@ def test_uncertified_epsilon_fails_loudly(capsys):
     assert "certificate" in json.loads(err)["message"]
 
 
+def test_out_of_range_epsilon_is_a_value_error(capsys):
+    for eps in ("0", "2", "-1/3"):
+        code, out, err = run_cli(capsys, "construct", "--n", "6", "--d", "4", f"--epsilon={eps}")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ValueError", "message": "epsilon must lie in (0, 1]"}
+
+
 def test_verify_small_instance(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "4", "--d", "3")
     data = json.loads(out)

@@ -34,6 +34,13 @@ def test_parameters_must_increase():
         cyclic_configuration(3, 2, ts=(1, 1, 2))
 
 
+def test_one_parameter_per_point():
+    # a short ts would otherwise fail later, in positive_cocircuit_facets
+    for ts in ((1, 2, 3), tuple(range(1, 8))):
+        with pytest.raises(ValueError, match="one parameter per point"):
+            cyclic_configuration(6, 3, ts=ts)
+
+
 def test_dual_minor_signs_follow_reorientation():
     # negating a row flips each maximal minor containing it; with rows
     # 2, 4, ... negated, the dual minor sign is (-1)^(number of even rows)

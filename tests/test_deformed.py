@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from ncpoly.deformed import (
+    _sign_label,
     build_deformed_cube,
     certify_epsilon,
     choose_epsilon,
@@ -16,9 +17,16 @@ from ncpoly.deformed import (
     projected_cube,
     verify_combinatorial_cube,
 )
-from ncpoly.errors import ConstructionError, SkeletonViolationError
+from ncpoly.errors import ConstructionError, NcpolyError, SkeletonViolationError
 from ncpoly.intops import bareiss_det, int_row
-from ncpoly.polytope import VPolytope, vertices_from_hrep
+from ncpoly.polytope import (
+    HPolytope,
+    IncidenceStructure,
+    VPolytope,
+    vertices_and_tight_sets,
+    vertices_from_hrep,
+)
+from ncpoly.skeleton import verify_skeleton_equivalence
 
 
 def test_interval_case():
@@ -60,8 +68,121 @@ def test_growth_bound_at_vertices(n, eps):
 def test_combinatorial_cube_check():
     assert verify_combinatorial_cube(build_deformed_cube(2, Fraction(1, 2)))
     assert verify_combinatorial_cube(build_deformed_cube(3, Fraction(1, 4)))
-    # boundary of the allowed range still reports a boolean
-    assert verify_combinatorial_cube(build_deformed_cube(3, 1)) in (True, False)
+    # the boundary of the allowed range is still a cube
+    assert verify_combinatorial_cube(build_deformed_cube(3, 1)) is True
+    # reads the 2048 tight sets of one H->V, with no face lattice
+    assert verify_combinatorial_cube(build_deformed_cube(11, Fraction(1, 2))) is True
+
+
+def test_sign_label_needs_exactly_one_side():
+    assert _sign_label(frozenset({0, 3, 5}), 3) == (-1, 1, 1)
+    # indices past the 2n paired inequalities are not read
+    assert _sign_label(frozenset({0, 3, 5, 6}), 3) == (-1, 1, 1)
+    assert _sign_label(frozenset({0, 1, 3, 5}), 3) is None
+    assert _sign_label(frozenset({0, 3}), 3) is None
+
+
+def _lattice_cube_check(h):
+    # the check verify_combinatorial_cube made before it read tight sets
+    # alone: rebuild the face lattice from the incidence of the 2n paired
+    # inequalities and compare it with the n-cube's face by face, which
+    # verify_skeleton_equivalence does at r = n - 1
+    n = h.dim
+    try:
+        verts = vertices_and_tight_sets(h)
+    except NcpolyError:
+        return False
+    if len(verts) != 2 ** n:
+        return False
+    labels = []
+    for _, tight in verts:
+        sides = [[s for s, j in ((-1, 2 * k), (1, 2 * k + 1)) if j in tight] for k in range(n)]
+        if any(len(side) != 1 for side in sides):
+            return False
+        labels.append(tuple(side[0] for side in sides))
+    if len(set(labels)) != 2 ** n:
+        return False
+    incidence = [
+        frozenset(i for i, (_, tight) in enumerate(verts) if j in tight)
+        for j in range(2 * n)
+    ]
+    if not all(incidence):
+        return False
+    return verify_skeleton_equivalence(IncidenceStructure(2 ** n, incidence, labels=labels), n, n - 1)
+
+
+def _unit(n, k, sigma):
+    return tuple(sigma if j == k else 0 for j in range(n))
+
+
+def _cube_check_family():
+    # seeded boxes in n = 2..4, whole, perturbed, cut, reordered and opened,
+    # plus deformed cubes and broken copies of them
+    rng = random.Random(7107)
+    systems = []
+    for n in range(2, 5):
+        for _ in range(4):
+            b = [rng.randint(1, 5) for _ in range(n)]
+            box = [(_unit(n, k, sigma), b[k]) for k in range(n) for sigma in (-1, 1)]
+            s = [rng.choice((-1, 1)) for _ in range(n)]
+            # the corner s*b has s.x = sum(b); every other vertex is at least 2 below
+            systems.append(box)
+            systems.append(box + [(tuple(s), sum(b) - 1)])
+            systems.append([(tuple(s), sum(b) - 1)] + box)
+            systems.append(box + [(tuple(s), sum(b))])
+            systems.append(box + [(tuple(s), sum(b) + 1), (tuple(-x for x in s), sum(b) + 3)])
+            # pairs 1 and 2 both bound x_1, so labels repeat; the real pair 2 comes last
+            systems.append(box[:2] + box[:2] + box[4:] + box[2:4])
+            dropped = list(box)
+            del dropped[rng.randrange(2 * n)]
+            systems.append(dropped)
+            pairs = [box[2 * k:2 * k + 2] for k in range(n)]
+            rng.shuffle(pairs)
+            systems.append([row for pair in pairs for row in (pair if rng.random() < 0.5 else pair[::-1])])
+            shuffled = list(box)
+            rng.shuffle(shuffled)
+            systems.append(shuffled)
+            perturbed = []
+            for normal, rhs in box:
+                scale = rng.randint(1, 3)
+                normal = tuple(x * scale or Fraction(rng.randint(-2, 2), rng.randint(2, 4)) for x in normal)
+                perturbed.append((normal, rhs * scale))
+            systems.append(perturbed)
+    for n in range(2, 8):
+        for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1), Fraction(3, 37)):
+            systems.append(build_deformed_cube(n, eps).inequalities)
+    for n in range(2, 5):
+        rows = build_deformed_cube(n, Fraction(1, 2)).inequalities
+        systems.append(rows[:-1])
+        # loosening the last pair's plus side lets it meet no vertex
+        systems.append(rows[:-1] + ((rows[-1][0], 2 * rows[-1][1]),))
+        systems.append(rows[2:] + rows[:2])
+    # a triangular prism: each pair is a facet and the face opposite it, so
+    # the six vertices carry distinct labels, but there are not eight
+    systems.append([
+        ((0, 0, -1), 1), ((0, 0, 1), 1),
+        ((0, -1, 0), 0), ((0, 1, 0), 2),
+        ((-1, -1, 0), 0), ((1, 1, 0), 2),
+        ((-1, 0, 0), 0),
+    ])
+    return [HPolytope(len(rows[0][0]), rows) for rows in systems]
+
+
+def test_cube_check_matches_lattice_reference():
+    answers = []
+    for h in _cube_check_family():
+        want = _lattice_cube_check(h)
+        assert verify_combinatorial_cube(h) is want, h.inequalities
+        answers.append(want)
+    assert (answers.count(True), answers.count(False)) == (87, 67)
+
+
+def test_certify_refuses_epsilon_out_of_range():
+    # checked before the n == d shortcut, with build_deformed_cube's error
+    for n, d, eps in [(6, 4, 0), (5, 5, -7), (6, 4, 2), (4, 4, Fraction(3, 2)), (5, 3, Fraction(-1, 2))]:
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\]$"):
+            certify_epsilon(n, d, eps)
+    assert certify_epsilon(4, 2, 1) is False and certify_epsilon(4, 4, 1) is True
 
 
 def test_certify_vacuous_when_n_equals_d():

@@ -259,8 +259,7 @@ class WitnessReport:
 
 
 def _witness_report(points):
-    v = VPolytope(4, points)
-    inc = facets_from_vrep(v)
+    inc = facets_from_vrep(VPolytope(4, points))
     lattice = face_lattice(inc)
     all_vertices = len(lattice.get(0, ())) == len(points)
     iso = hypercube_graph_iso(graph_of(inc), 5)
@@ -270,11 +269,10 @@ def _witness_report(points):
         for f, (normal, rhs) in zip(inc.incidence, inc.inequalities)
         if normal == (0, 0, 0, -1) and rhs == 0
     ]
-    cube_facet_at_base = False
-    if base and len(base[0]) == 8:
-        idx = sorted(base[0])
-        sub = VPolytope(3, [v.points[i][:3] for i in idx])
-        cube_facet_at_base = is_cubical(facets_from_vrep(sub))
+    # the faces of the base facet are the faces of the polytope inside it
+    cube_facet_at_base = bool(base) and len(base[0]) == 8 and all(
+        len(f) == 2 ** k for k, faces in lattice.items() for f in faces if f <= base[0]
+    )
     large = sorted(len(f) for f in inc.incidence if len(f) > 8)
     return WitnessReport(
         all_vertices=all_vertices,

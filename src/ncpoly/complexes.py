@@ -15,7 +15,7 @@ from .errors import ConstructionError
 @dataclass
 class CubicalComplex:
     faces_by_dim: dict
-    vertex_ids: frozenset = field(default=None)
+    vertex_ids: frozenset = field(init=False)
 
     def __post_init__(self):
         self.faces_by_dim = {
@@ -23,12 +23,7 @@ class CubicalComplex:
             for k, faces in self.faces_by_dim.items()
             if faces
         }
-        if self.vertex_ids is None:
-            ids = set()
-            for faces in self.faces_by_dim.values():
-                for f in faces:
-                    ids |= f
-            self.vertex_ids = frozenset(ids)
+        self.vertex_ids = frozenset().union(*self.all_faces())
 
     @property
     def dim(self):

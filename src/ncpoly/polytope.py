@@ -22,7 +22,7 @@ from .errors import (
     SpanError,
     UnboundedPolytopeError,
 )
-from .intops import echelon, echelon_kernel, int_rank, int_row, primitive
+from .intops import echelon, echelon_kernel, int_row, primitive
 
 
 class HPolytope:
@@ -155,12 +155,15 @@ def _extreme_rays(rows, width):
     rays on its nonnegative side and adds the primitive combination of
     every adjacent pair it separates.  Rays p and q are adjacent exactly
     when their common zero set Z has at least width-2 rows and no third ray
-    vanishes on all of Z.  ``rows`` are integer vectors of rank ``width``.
+    vanishes on all of Z.  ``rows`` are integer vectors of length ``width``.
 
     Returns (ray, zero set) pairs: a primitive integer ray and the frozenset
-    of row indices on which it vanishes.
+    of row indices on which it vanishes.  Returns None when the rows have
+    rank below ``width``, so the cone is not pointed.
     """
     basis = list(echelon(rows))
+    if len(basis) < width:
+        return None
     rays, zeros = [], []
     for i in basis:
         ray = echelon_kernel(echelon([rows[j] for j in basis if j != i]), width)
@@ -227,14 +230,14 @@ def vertices_and_tight_sets(h: HPolytope):
     """
     d = h.dim
     int_rows = [int_row(normal + (rhs,)) for normal, rhs in h.inequalities]
-    if int_rank([r[:-1] for r in int_rows]) < d:
-        if _fm_feasible(int_rows, d):
-            raise UnboundedPolytopeError("normals do not span; feasible set has a line")
-        raise EmptyPolytopeError("inconsistent inequality system")
-
     cone = [tuple(-x for x in r[:-1]) + (r[-1],) for r in int_rows]
     cone.append((0,) * d + (1,))
     rays = _extreme_rays(cone, d + 1)
+    # the cone has rank d+1 exactly when the normals span R^d
+    if rays is None:
+        if _fm_feasible(int_rows, d):
+            raise UnboundedPolytopeError("normals do not span; feasible set has a line")
+        raise EmptyPolytopeError("inconsistent inequality system")
     verts = sorted(
         (tuple(Fraction(x, ray[d]) for x in ray[:d]), tight)
         for ray, tight in rays
@@ -268,10 +271,11 @@ def facets_from_vrep(v: VPolytope) -> IncidenceStructure:
     # one common scale clears every denominator and keeps the hull
     mult = lcm(*(x.denominator for p in v.points for x in p))
     hom = [tuple(int(x * mult) for x in p) + (1,) for p in v.points]
-    if int_rank(hom) != d + 1:
+    rays = _extreme_rays(hom, d + 1)
+    if rays is None:
         raise SpanError("points do not affinely span the ambient space")
     entries = []
-    for u, inc in _extreme_rays(hom, d + 1):
+    for u, inc in rays:
         # u . (x, 1) >= 0 on all points: outward form is -u[:d] . x <= u[d]
         normal = tuple(-a for a in u[:d])
         entries.append((inc, canonical_inequality(normal, Fraction(u[d], mult))))
@@ -290,7 +294,7 @@ def facets_from_vrep(v: VPolytope) -> IncidenceStructure:
 # ---------------------------------------------------------------------------
 
 
-def face_lattice(inc: IncidenceStructure, up_to_dim=None):
+def face_lattice(inc: IncidenceStructure):
     """Proper faces (as canonical vertex sets) grouped by dimension.
 
     Graded from the vertex-facet incidence alone, top down (Kaibel &
@@ -323,9 +327,7 @@ def face_lattice(inc: IncidenceStructure, up_to_dim=None):
             top - depth: tuple(sorted((_members(m) for m in levels[depth]), key=sorted))
             for depth in range(top, -1, -1)
         }
-    if up_to_dim is None:
-        return inc._lattice
-    return {k: fs for k, fs in inc._lattice.items() if k <= up_to_dim}
+    return inc._lattice
 
 
 def polytope_dim(inc: IncidenceStructure):

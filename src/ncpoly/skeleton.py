@@ -6,6 +6,7 @@ must map to a face of the target of the same dimension, and nothing else may
 appear.
 """
 
+from itertools import product
 from math import comb
 
 from . import signvec
@@ -17,12 +18,7 @@ from .deformed import (
     project_last,
 )
 from .errors import ConstructionError
-from .polytope import (
-    IncidenceStructure,
-    VPolytope,
-    face_lattice,
-    facets_from_vrep,
-)
+from .polytope import IncidenceStructure, face_lattice, facets_from_vrep
 
 
 def cube_skeleton(n, r):
@@ -37,18 +33,19 @@ def verify_skeleton_equivalence(inc: IncidenceStructure, n, r) -> bool:
 
     (a) the vertex-label set of every cube face of dimension <= r is a face
     of the structure of the same dimension, and (b) the structure has no
-    further faces of dimension <= r.  Vertex i is the cube vertex labels[i],
-    a tuple in {-1, +1}^n.
+    further faces of dimension <= r.  Vertex i is the cube vertex labels[i];
+    labels that are not exactly the tuples of {-1, +1}^n give False.
     """
     if r < 0:
         raise ValueError("need r >= 0")
     if inc.labels is None:
         raise ValueError("skeleton comparison needs vertex labels")
-    if len(set(inc.labels)) != inc.vertex_count:
+    labels = set(inc.labels)
+    if len(labels) != inc.vertex_count:
         raise ValueError("vertex labels must be distinct")
-    if inc.vertex_count != 2 ** n:
+    if labels != set(product((-1, 1), repeat=n)):
         return False
-    lattice = face_lattice(inc, up_to_dim=r)
+    lattice = face_lattice(inc)
     faces = {k: set(lattice.get(k, ())) for k in range(r + 1)}
     if any(len(faces[k]) != signvec.cube_face_count(n, k) for k in faces):
         return False
@@ -80,7 +77,8 @@ def double_r_cubicality_check(inc: IncidenceStructure, r) -> bool:
     """Every proper face of dimension <= 2r has 2^dim vertices."""
     return all(
         len(f) == 2 ** k
-        for k, faces in face_lattice(inc, up_to_dim=2 * r).items()
+        for k, faces in face_lattice(inc).items()
+        if k <= 2 * r
         for f in faces
     )
 
@@ -91,8 +89,10 @@ def upper_face_subdivision(n, d):
     The (d+1)-dimensional projected cube maps onto the d-dimensional one by
     deleting the coordinate that links them (the first of its d+1).  Facets
     whose outward normal is positive in that coordinate project to cells
-    tiling the d-polytope.  Verifies the tiling and that no face of
-    dimension <= floor(d/2)-1 is interior; returns the cell complex.
+    tiling the d-polytope.  The projection is injective on each such facet,
+    so a cell's faces are read from the (d+1)-polytope's face lattice.
+    Verifies the tiling and that no face of dimension <= floor(d/2)-1 is
+    interior; returns the cell complex.
     """
     if d < 2 or n < d + 1:
         raise ValueError("need n >= d+1 and d >= 2")
@@ -123,26 +123,16 @@ def upper_face_subdivision(n, d):
 
     lower_facet_sets = [set(f) for f in inc_lower.incidence]
 
-    # cell face lattices, computed geometrically inside the d-projection
-    cell_lattices = []
-    for cell in cells:
-        idx = sorted(cell)
-        sub = VPolytope(d, [lower.points[i] for i in idx])
-        sub_inc = facets_from_vrep(sub)
-        lat = face_lattice(sub_inc)
-        cell_lattices.append(
-            {
-                k: {frozenset(idx[i] for i in f) for f in faces}
-                for k, faces in lat.items()
-            }
-        )
+    # upper facets are not vertical, so each cell's faces are the upper faces in it
+    faces_by_dim = {
+        k: {f for f in faces if any(f <= cell for cell in cells)}
+        for k, faces in face_lattice(inc_upper).items()
+        if k < d
+    }
 
     # ridges: shared by exactly two cells or lying in a boundary facet
-    ridge_count = {}
-    for lat in cell_lattices:
-        for ridge in lat.get(d - 1, ()):
-            ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-    for ridge, cnt in ridge_count.items():
+    for ridge in faces_by_dim[d - 1]:
+        cnt = sum(ridge <= cell for cell in cells)
         on_boundary = any(ridge <= fs for fs in lower_facet_sets)
         if cnt == 2 and not on_boundary:
             continue
@@ -152,12 +142,8 @@ def upper_face_subdivision(n, d):
 
     # no interior faces of dimension <= floor(d/2) - 1
     r = d // 2 - 1
-    faces_by_dim = {}
-    for lat in cell_lattices:
-        for k, faces in lat.items():
-            faces_by_dim.setdefault(k, set()).update(faces)
     for k in range(r + 1):
-        for f in faces_by_dim.get(k, ()):
+        for f in faces_by_dim[k]:
             if not any(f <= fs for fs in lower_facet_sets):
                 raise ConstructionError(f"interior {k}-face in the subdivision")
 

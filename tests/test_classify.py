@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from ncpoly.classify import (
     neighborly_triples,
     pklm_fvector,
     pklm_sphere,
+    _witness_report,
     ubc_polytope_case,
     valid_triples,
     verify_ambiguity_witnesses,
@@ -144,6 +146,54 @@ def test_noncubical_witness_report():
     assert noncub.cube_graph
     assert not noncub.cubical
     assert noncub.large_facet_sizes == [12]
+
+
+def _base_facet_is_cube_by_rehull(points):
+    # reference: hull the x4 = 0 facet again in R^3
+    inc = facets_from_vrep(VPolytope(4, points))
+    base = [
+        f
+        for f, (normal, rhs) in zip(inc.incidence, inc.inequalities)
+        if normal == (0, 0, 0, -1) and rhs == 0
+    ]
+    if not base or len(base[0]) != 8:
+        return False
+    sub = VPolytope(3, [points[i][:3] for i in sorted(base[0])])
+    return is_cubical(facets_from_vrep(sub))
+
+
+def test_cube_facet_at_base_matches_rehull():
+    cub, noncub = verify_ambiguity_witnesses()
+    assert cub.cube_facet_at_base is _base_facet_is_cube_by_rehull(CUBICAL_WITNESS_POINTS) is True
+    assert noncub.cube_facet_at_base is _base_facet_is_cube_by_rehull(NONCUBICAL_WITNESS_POINTS)
+
+
+# pyramids over a 3-cube and over a square antiprism, the base at x4 = 0:
+# neither is cubical, and only the first has a cube for its base facet
+@pytest.mark.parametrize(
+    "base,expect",
+    [
+        (list(product((-1, 1), repeat=3)), True),
+        (
+            [(a, b, 0) for a in (-1, 1) for b in (-1, 1)]
+            + [(2, 0, 1), (-2, 0, 1), (0, 2, 1), (0, -2, 1)],
+            False,
+        ),
+    ],
+)
+def test_cube_facet_at_base_on_pyramids(base, expect):
+    points = [p + (0,) for p in base] + [(0, 0, 0, 1)]
+    report = _witness_report(points)
+    assert not report.cubical
+    assert report.cube_facet_at_base is _base_facet_is_cube_by_rehull(points) is expect
+
+
+def test_witnesses_hull_once_each(hull_calls):
+    verify_ambiguity_witnesses()
+    assert [v.points for v in hull_calls] == [
+        VPolytope(4, CUBICAL_WITNESS_POINTS).points,
+        VPolytope(4, NONCUBICAL_WITNESS_POINTS).points,
+    ]
 
 
 def test_noncubical_witness_12_vertex_facet_span():

@@ -3,7 +3,9 @@ from itertools import product
 import pytest
 
 from ncpoly import signvec
-from ncpoly.polytope import VPolytope, facets_from_vrep
+from ncpoly.complexes import CubicalComplex
+from ncpoly.deformed import certify_epsilon, choose_epsilon, cube_vertices_labeled, project_last
+from ncpoly.polytope import IncidenceStructure, VPolytope, face_lattice, facets_from_vrep
 from ncpoly.skeleton import (
     cube_skeleton,
     dehn_sommerville_check,
@@ -59,6 +61,17 @@ def test_skeleton_equivalence_rejects_negative_r():
             verify_skeleton_equivalence(inc, 3, r)
 
 
+def test_skeleton_equivalence_rejects_labels_off_the_cube():
+    square = [{0, 1}, {1, 3}, {3, 2}, {2, 0}]
+    for labels in (
+        [(0, 0), (0, 1), (1, 0), (1, 1)],
+        [(-1, -1), (-1, 1), (1, -1), (1, 1, 1)],
+    ):
+        inc = IncidenceStructure(4, square, labels=labels)
+        for r in (0, 1):
+            assert verify_skeleton_equivalence(inc, 2, r) is False
+
+
 def test_shadow_skeleton_equivalence(constructed):
     pc, inc = constructed(5, 4)
     assert verify_skeleton_equivalence(inc, 5, 1)
@@ -108,6 +121,41 @@ def test_upper_face_subdivision_5_4():
     assert len(sub.facets()) == 5
     assert sub.f_vector()[0] == 32
     sub.validate()
+
+
+def _per_cell_hull_faces(n, d):
+    # reference: hull every cell again inside the d-projection
+    eps = choose_epsilon(n, d + 1)
+    while not certify_epsilon(n, d, eps):
+        eps = eps / 2
+    cube = cube_vertices_labeled(n, eps)
+    inc_upper = facets_from_vrep(project_last(cube, d + 1))
+    lower = project_last(cube, d)
+    cells = [
+        facet
+        for facet, (normal, _) in zip(inc_upper.incidence, inc_upper.inequalities)
+        if normal[0] > 0
+    ]
+    faces_by_dim = {d: set(cells)}
+    for cell in cells:
+        idx = sorted(cell)
+        lattice = face_lattice(facets_from_vrep(VPolytope(d, [lower.points[i] for i in idx])))
+        for k, faces in lattice.items():
+            faces_by_dim.setdefault(k, set()).update(frozenset(idx[i] for i in f) for f in faces)
+    return CubicalComplex(faces_by_dim).faces_by_dim
+
+
+@pytest.mark.parametrize(
+    "n,d", [(4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (6, 3), (6, 4), (6, 5)]
+)
+def test_upper_face_subdivision_matches_per_cell_hulls(n, d):
+    assert upper_face_subdivision(n, d).faces_by_dim == _per_cell_hull_faces(n, d)
+
+
+@pytest.mark.parametrize("n,d", [(5, 4), (6, 4), (6, 3)])
+def test_upper_face_subdivision_hulls_twice(hull_calls, n, d):
+    upper_face_subdivision(n, d)
+    assert [v.dim for v in hull_calls] == [d + 1, d]
 
 
 def test_upper_face_subdivision_needs_room():

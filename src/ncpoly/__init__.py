@@ -18,7 +18,6 @@ from .classify import (
 )
 from .complexes import CubicalComplex
 from .cyclic import (
-    chirotope,
     cyclic_configuration,
     cyclic_facet_count,
     gale_evenness_facets,

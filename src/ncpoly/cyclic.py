@@ -2,9 +2,8 @@
 
 These are the simplicial reference objects: the facet structure of the
 convex hull of points on the moment curve is governed by the classical Gale
-evenness condition, and all chirotope signs of the homogenized configuration
-are positive.  The dual carries an alternating row reorientation; its rank
-is pinned by rank(primal) + rank(dual) = n.
+evenness condition, and the same facets come back from the positive
+cocircuits of the homogenized configuration.
 """
 
 from dataclasses import dataclass
@@ -13,7 +12,6 @@ from itertools import combinations
 from math import comb
 
 from .errors import DimensionError
-from .intops import bareiss_det, int_rank, int_row
 from .polytope import VPolytope, facets_from_vrep
 
 
@@ -44,34 +42,6 @@ def cyclic_configuration(n, d, ts=None) -> CyclicConfiguration:
     if any(a >= b for a, b in zip(ts, ts[1:])):
         raise ValueError("parameters must be strictly increasing")
     return CyclicConfiguration(n, d + 1, ts)
-
-
-def chirotope(cfg: CyclicConfiguration, subset):
-    """Sign of the maximal minor on the given point subset."""
-    subset = tuple(subset)
-    if len(subset) != cfg.rank:
-        raise DimensionError("subset size must equal the rank")
-    det = bareiss_det([int_row(cfg.row(i)) for i in subset])
-    return 0 if det == 0 else (1 if det > 0 else -1)
-
-
-def dual_configuration(cfg: CyclicConfiguration):
-    """Representation of the dual: moment rows of complementary rank with
-    every other row negated."""
-    dual_rank = cfg.n - cfg.rank
-    rows = []
-    for i in range(cfg.n):
-        t = Fraction(cfg.ts[i])
-        sign = 1 if i % 2 == 0 else -1
-        rows.append(tuple(sign * t ** j for j in range(dual_rank)))
-    return tuple(rows)
-
-
-def rank_pair(cfg: CyclicConfiguration):
-    return (
-        int_rank([int_row(r) for r in cfg.matrix()]),
-        int_rank([int_row(r) for r in dual_configuration(cfg)]),
-    )
 
 
 def classical_gale_even(subset, n) -> bool:

@@ -46,15 +46,17 @@ def deformation_rows(n, d, signed_rows, epsilon):
     eps = Fraction(epsilon)
     p, q = eps.numerator, eps.denominator
     width = n - d
-    return [
-        tuple([
-            (-1) ** k * comb(k - 2, j - 1) * (q if k <= width else 1) if j < k
-            else sigma * p if j == k
-            else 0
-            for j in range(1, width + 1)
-        ])
-        for k, sigma in signed_rows
-    ]
+    rows = []
+    for k, sigma in signed_rows:
+        if k <= width:
+            # binomial prefix, the eps entry, then the zero tail
+            s = q if k % 2 == 0 else -q
+            prefix = [s * comb(k - 2, j) for j in range(k - 1)]
+            rows.append((*prefix, sigma * p, *[0] * (width - k)))
+        else:
+            s = 1 if k % 2 == 0 else -1
+            rows.append(tuple([s * comb(k - 2, j) for j in range(width)]))
+    return rows
 
 
 def constraint_row(n, k, sigma, epsilon):

@@ -84,7 +84,7 @@ def induced_rows_sigma(alpha):
     Signs at positions outside the support never enter the selected rows and
     default to +1.
     """
-    rows = tuple(sorted(abs(a) for a in alpha))
+    rows = tuple(sorted(map(abs, alpha)))
     sigma = {abs(a): (1 if a > 0 else -1) for a in alpha}
     return rows, sigma
 
@@ -99,12 +99,12 @@ def is_positive_circuit(n, d, sigma, rows, epsilon) -> bool:
     """
     if len(rows) != n - d + 1:
         raise ValueError("need exactly n-d+1 rows")
-    if not all(0 < k <= n for k in rows) or len(set(rows)) != len(rows):
+    if (rows and not (0 < min(rows) and max(rows) <= n)) or len(set(rows)) != len(rows):
         raise ValueError(f"row indices must be distinct and lie in 1..{n}")
     if n == d:
         return True
     v = left_kernel(deformation_rows(n, d, [(k, sigma.get(k, 1)) for k in rows], epsilon))
-    return v is not None and all(x > 0 for x in v)
+    return v is not None and min(v) > 0
 
 
 def alpha_is_positive_circuit(n, d, alpha, epsilon) -> bool:

@@ -1,12 +1,13 @@
 """Exact integer matrix routines.
 
-These are the kernels behind the eps certificate, the positive-circuit test,
-the chirotopes and the hull.  Everything works on plain Python integers
-(arbitrary precision), with fraction-free eliminations so intermediate
+These are the kernels behind the eps certificate, the positive-circuit test
+and the hull.  Everything works on plain Python integers (arbitrary
+precision), with fraction-free eliminations (Bareiss 1968) so intermediate
 values stay integral.  Determinants come from ``bareiss_det``; rank, right
 kernels and left kernels all come from the one ``echelon`` routine.
 Rational rows enter through ``int_row``.  The innermost loops (the content
-gcd, the back-substitution dot product) are single calls into C builtins.
+gcd, the back-substitution dot product) are single calls into C builtins,
+and a row is divided by its content once, only when that is above 1.
 """
 
 from math import gcd, lcm
@@ -81,16 +82,20 @@ def echelon(rows):
     so its length is the rank.  Stops once the rank equals the row width.
     """
     red = {}
-    for i, row in enumerate(rows):
-        res = list(row)
+    for i, res in enumerate(rows):
         for prow, pc in red.values():
             t = res[pc]
             if t:
                 pv = prow[pc]
                 res = [pv * a - t * b for a, b in zip(res, prow)]
-        res = primitive(res)
-        if any(res):
-            red[i] = res, next(c for c, x in enumerate(res) if x)
+        g = gcd(*res)
+        if g:
+            if g > 1:
+                res = [x // g for x in res]
+            pc = 0
+            while not res[pc]:
+                pc += 1
+            red[i] = tuple(res), pc
             if len(red) == len(res):
                 break
     return red
@@ -108,24 +113,26 @@ def echelon_kernel(red, width):
     ``width`` columns.  Returns the primitive integer vector u with
     row . u = 0 for every row, sign-normalized on its first nonzero entry.
     """
-    pivots = {pc for _, pc in red.values()}
-    free = next(c for c in range(width) if c not in pivots)
+    # the width - 1 pivots are distinct, so the free column is the one
+    # missing from their sum
+    free = width * (width - 1) // 2
     scale = 1
     for prow, pc in red.values():
+        free -= pc
         scale *= prow[pc]
     u = [0] * width
     u[free] = scale if scale > 0 else -scale
     for prow, pc in reversed(red.values()):
         # u[pc] is still 0 here, so the pivot column adds nothing
-        s = sum(map(mul, prow, u))
-        q, rem = divmod(-s, prow[pc])
+        q, rem = divmod(-sum(map(mul, prow, u)), prow[pc])
         if rem:
             raise ArithmeticError("non-integral back-substitution")
         u[pc] = q
-    u = primitive(u)
     for x in u:
         if x:
-            return u if x > 0 else tuple(-y for y in u)
+            # divide once by the content, carrying the first nonzero sign
+            g = gcd(*u) if x > 0 else -gcd(*u)
+            return tuple([y // g for y in u])
     raise ArithmeticError("zero kernel vector")
 
 

@@ -6,6 +6,7 @@ as bitmasks: bit i set means coordinate i equals +1.
 """
 
 from itertools import combinations, product
+from math import comb
 
 CHARS = {-1: "-", 0: "0", 1: "+"}
 VALUES = {"-": -1, "0": 0, "+": 1}
@@ -56,19 +57,16 @@ def meet(a, b):
 
 
 def vertices_bits(sv):
-    """All vertices of a face, as bitmasks over the +1 coordinates."""
+    """All vertices of a face, as bitmasks over the +1 coordinates, in
+    binary counting order over the free coordinates (the first is bit 0)."""
     base = 0
     for i, s in enumerate(sv):
         if s == 1:
             base |= 1 << i
-    zeros = zero_positions(sv)
-    verts = []
-    for bits in range(1 << len(zeros)):
-        v = base
-        for t, pos in enumerate(zeros):
-            if bits >> t & 1:
-                v |= 1 << pos
-        verts.append(v)
+    verts = [base]
+    for pos in zero_positions(sv):
+        bit = 1 << pos
+        verts += [v | bit for v in verts]
     return verts
 
 
@@ -113,6 +111,5 @@ def all_faces(n, max_zeros=None):
 
 
 def cube_face_count(n, k):
-    from math import comb
-
-    return comb(n, k) * 2 ** (n - k)
+    """Number of k-faces of the n-cube."""
+    return comb(n, k) * 2 ** (n - k) if k <= n else 0

@@ -4,18 +4,48 @@ from itertools import combinations
 import pytest
 
 from ncpoly.cyclic import (
-    chirotope,
+    CyclicConfiguration,
     classical_gale_even,
     cyclic_configuration,
     cyclic_facet_count,
-    dual_configuration,
     gale_evenness_facets,
     positive_cocircuit_facets,
-    rank_pair,
 )
 from ncpoly.errors import DimensionError
 from ncpoly.intops import bareiss_det, int_rank, int_row
 from ncpoly.polytope import VPolytope, facets_from_vrep
+
+# The chirotope and the dual configuration are oriented-matroid facts about
+# the moment curve that only these tests read; the library itself recovers
+# the facets from positive cocircuits.
+
+
+def chirotope(cfg: CyclicConfiguration, subset):
+    """Sign of the maximal minor on the given point subset."""
+    subset = tuple(subset)
+    if len(subset) != cfg.rank:
+        raise DimensionError("subset size must equal the rank")
+    det = bareiss_det([int_row(cfg.row(i)) for i in subset])
+    return 0 if det == 0 else (1 if det > 0 else -1)
+
+
+def dual_configuration(cfg: CyclicConfiguration):
+    """Representation of the dual: moment rows of complementary rank with
+    every other row negated."""
+    dual_rank = cfg.n - cfg.rank
+    rows = []
+    for i in range(cfg.n):
+        t = Fraction(cfg.ts[i])
+        sign = 1 if i % 2 == 0 else -1
+        rows.append(tuple(sign * t ** j for j in range(dual_rank)))
+    return tuple(rows)
+
+
+def rank_pair(cfg: CyclicConfiguration):
+    return (
+        int_rank([int_row(r) for r in cfg.matrix()]),
+        int_rank([int_row(r) for r in dual_configuration(cfg)]),
+    )
 
 
 def test_chirotope_always_positive_for_increasing_parameters():

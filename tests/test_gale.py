@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -135,6 +136,65 @@ def test_positive_circuit_equivalence_small():
                     assert (alpha in facets) == alpha_is_positive_circuit(
                         n, d, alpha, eps
                     ), (n, d, alpha)
+
+
+def _rational_row(n, d, k, sigma, eps):
+    # row k of the n x (n-d) deformation matrix over the rationals, written
+    # out apart from the library: (-1)^k binom(k-2, j-1) for j < k, then
+    # sigma*eps at j = k
+    width = n - d
+    row = [Fraction(0)] * width
+    for j in range(1, min(k, width + 1)):
+        row[j - 1] = Fraction((-1) ** k * comb(k - 2, j - 1))
+    if k <= width:
+        row[k - 1] = sigma * eps
+    return row
+
+
+def _fraction_left_kernel(rows):
+    # y with y . rows = 0 from Gauss-Jordan elimination of the transpose
+    # over Fractions; None unless the left kernel is one-dimensional
+    m = [list(col) for col in zip(*rows)]
+    width = len(rows)
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    if len(pivots) != width - 1:
+        return None
+    (free,) = set(range(width)) - set(pivots)
+    y = [Fraction(0)] * width
+    y[free] = Fraction(1)
+    for r, c in enumerate(pivots):
+        y[c] = -m[r][free]
+    return y
+
+
+@pytest.mark.parametrize(
+    "eps", [Fraction(1), Fraction(1, 3), Fraction(3, 37), Fraction(2, 9)], ids=str
+)
+def test_positive_circuit_matches_fraction_kernel_off_certified_eps(eps):
+    # away from a certified eps facets_gale is no reference, so the circuit
+    # test is held to the sign pattern of an exact rational left kernel
+    for n in range(3, 8):
+        for d in range(2, n):
+            size = n - d + 1
+            for support in combinations(range(1, n + 1), size):
+                for signs in product((-1, 1), repeat=size):
+                    alpha = frozenset(s * k for s, k in zip(signs, support))
+                    y = _fraction_left_kernel(
+                        [_rational_row(n, d, k, s, eps) for s, k in zip(signs, support)]
+                    )
+                    want = y is not None and (min(y) > 0 or max(y) < 0)
+                    assert alpha_is_positive_circuit(n, d, alpha, eps) == want, (n, d, alpha)
 
 
 def _bbar_rows(n, d):

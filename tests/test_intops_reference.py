@@ -1,5 +1,6 @@
 """The integer kernels of ``ncpoly.intops`` against sympy as an exact
-reference that shares no code with them.
+reference that shares no code with them, and ``signvec.vertices_bits``
+against a naive bitmask enumeration.
 
 Matrices are small hypothesis-drawn integer matrices; half of the draws are
 products of two random factors through an inner dimension below the size,
@@ -8,12 +9,23 @@ examples.
 """
 
 from functools import reduce
+from itertools import product
+from math import gcd
 
+import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncpoly.intops import bareiss_det, int_rank, left_kernel, vec_content
+from ncpoly.intops import (
+    bareiss_det,
+    echelon,
+    echelon_kernel,
+    int_rank,
+    left_kernel,
+    vec_content,
+)
+from ncpoly.signvec import vertices_bits
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -45,8 +57,38 @@ def kernel_matrices(draw):
     return draw(int_matrices(st.just(r + 1), st.just(r)))
 
 
+@st.composite
+def corank_one_systems(draw):
+    # width - 1 rows over width columns of rank width - 1: a unit lower
+    # triangular L times a staircase U with nonzero diagonal, columns
+    # shuffled so the pivots come in any order
+    width = draw(st.integers(1, 6))
+    r = width - 1
+    nonzero = st.integers(-6, -1) | st.integers(1, 6)
+    lower = [[1 if j == i else draw(entries) if j < i else 0 for j in range(r)] for i in range(r)]
+    upper = [
+        [draw(nonzero) if j == i else draw(entries) if j > i else 0 for j in range(width)]
+        for i in range(r)
+    ]
+    perm = draw(st.permutations(range(width)))
+    rows = [
+        tuple(sum(lower[i][t] * upper[t][perm[j]] for t in range(r)) for j in range(width))
+        for i in range(r)
+    ]
+    return rows, width
+
+
 def _sympy_matrix(rows, cols):
     return sympy.Matrix(len(rows), cols, [x for row in rows for x in row])
+
+
+def _primitive_sympy_vector(w):
+    # the sympy vector as a primitive integer tuple, first nonzero positive
+    w = list(w * reduce(sympy.ilcm, (x.q for x in w), 1))
+    g = sympy.gcd_list(w)
+    w = [x / g for x in w]
+    lead = next(x for x in w if x)
+    return tuple(int(x if lead > 0 else -x) for x in w)
 
 
 @SETTINGS
@@ -80,11 +122,7 @@ def test_left_kernel_matches_sympy_nullspace(rows):
         assert v is None
         return
     (w,) = basis
-    w = list(w * reduce(sympy.ilcm, (x.q for x in w), 1))
-    g = sympy.gcd_list(w)
-    w = [x / g for x in w]
-    lead = next(x for x in w if x)
-    assert v == tuple(int(x if lead > 0 else -x) for x in w)
+    assert v == _primitive_sympy_vector(w)
 
 
 @SETTINGS
@@ -95,3 +133,61 @@ def test_left_kernel_matches_sympy_nullspace(rows):
 def test_vec_content_matches_sympy_gcd(v):
     # folded pairwise from 0: gcd_list([-1]) would return -1
     assert vec_content(v) == reduce(sympy.gcd, v, sympy.Integer(0))
+
+
+@SETTINGS
+@given(int_matrices(st.integers(1, 6), st.integers(1, 6)))
+@example([(0, 0, 0), (0, 0, 0)])
+@example([(0, 2, 4), (3, 0, 6), (0, 4, 8), (1, 1, 1)])
+@example([(2, -4), (1, 3), (5, 0)])
+def test_echelon_is_a_primitive_echelon_basis(rows):
+    width = len(rows[0])
+    red = echelon(rows)
+    rank = _sympy_matrix(rows, width).rank()
+    assert len(red) == rank
+    assert list(red) == sorted(red)
+    assert all(0 <= i < len(rows) for i in red)
+    pivots = [pc for _, pc in red.values()]
+    assert len(set(pivots)) == len(pivots)
+    kept = [row for row, _ in red.values()]
+    for row, pc in red.values():
+        assert len(row) == width
+        assert gcd(*row) == 1
+        assert row[pc] and not any(row[:pc])
+    # the kept rows lie in the span of the input rows and have its rank
+    assert _sympy_matrix(kept, width).rank() == rank
+    assert _sympy_matrix(list(rows) + kept, width).rank() == rank
+
+
+@SETTINGS
+@given(corank_one_systems())
+@example(([], 1))
+@example(([(0, 1, 1), (1, 1, 0)], 3))
+@example(([(0, 0, 2, 1), (0, 3, 0, 0), (1, 0, 0, 5)], 4))
+def test_echelon_kernel_matches_sympy_nullspace(system):
+    rows, width = system
+    assert _sympy_matrix(rows, width).rank() == width - 1
+    red = echelon(rows)
+    assert len(red) == width - 1
+    (w,) = _sympy_matrix(rows, width).nullspace()
+    assert echelon_kernel(red, width) == _primitive_sympy_vector(w)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_vertices_bits_matches_naive_enumeration(n):
+    # every face of the n-cube: its vertices in binary counting order over
+    # the free coordinates, and exactly the cube vertices agreeing with it
+    for sv in product((-1, 0, 1), repeat=n):
+        zeros = [i for i, s in enumerate(sv) if s == 0]
+        base = sum(1 << i for i, s in enumerate(sv) if s == 1)
+        want = [
+            base + sum(1 << pos for t, pos in enumerate(zeros) if bits >> t & 1)
+            for bits in range(2 ** len(zeros))
+        ]
+        got = vertices_bits(sv)
+        assert got == want, sv
+        inside = [
+            v for v in range(2 ** n)
+            if all(s == 0 or (v >> i & 1) == (s == 1) for i, s in enumerate(sv))
+        ]
+        assert sorted(got) == inside, sv

@@ -15,6 +15,15 @@ from ncpoly.skeleton import (
 )
 
 
+def test_cube_face_count_is_an_exact_int():
+    # k above n has no faces: 0, not the float 2 ** (n - k) times 0
+    for n in range(7):
+        for k in range(n + 3):
+            want = sum(1 for sv in product((-1, 0, 1), repeat=n) if signvec.face_dim(sv) == k)
+            got = signvec.cube_face_count(n, k)
+            assert type(got) is int and got == want, (n, k)
+
+
 def test_cube_skeleton_counts():
     sk = cube_skeleton(3, 1)
     by_dim = {}

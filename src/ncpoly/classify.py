@@ -95,12 +95,18 @@ def _ball_facets(d, k, l, m):
     return facets
 
 
-def pklm_sphere(d, triple) -> CubicalComplex:
-    """Boundary sphere of the ball: faces of the (d+1)-cube lying in a
-    facet of the ball and in a facet of its complement."""
+def _check_triple(d, triple):
+    """The ball needs k + l + m = d + 1 with l >= 1 and k, m >= 0."""
     k, l, m = triple
     if k + l + m != d + 1 or l < 1 or k < 0 or m < 0:
         raise ValueError("invalid triple")
+    return k, l, m
+
+
+def pklm_sphere(d, triple) -> CubicalComplex:
+    """Boundary sphere of the ball: faces of the (d+1)-cube lying in a
+    facet of the ball and in a facet of its complement."""
+    k, l, m = _check_triple(d, triple)
     ball = set(_ball_facets(d, k, l, m))
     comp = [
         (i, s)
@@ -121,7 +127,7 @@ def pklm_sphere(d, triple) -> CubicalComplex:
 
 def pklm_fvector(d, triple):
     """Closed-form f-vector (f_0, ..., f_{d-1}) of the boundary sphere."""
-    k, l, m = triple
+    k, l, m = _check_triple(d, triple)
     out = []
     for i in range(d + 1, 1, -1):  # f_{d+1-i} for i = d+1 .. 2
         total = comb(d + 1, i) * 2 ** i - delta(i, k, l, m)

@@ -217,10 +217,9 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_nd(p, need_d=True):
+    def add_nd(p):
         p.add_argument("--n", type=int, required=True)
-        if need_d:
-            p.add_argument("--d", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
         p.add_argument("--epsilon", type=_fraction, default=None, help="rational like 1/4")
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
 

@@ -3,6 +3,8 @@
 Faces are canonical vertex sets grouped by dimension; a k-face has 2^k
 vertices.  This is the shared representation for subcomplexes of cube
 boundaries and for the surgered sphere, where no coordinates exist.
+The connectivity of a complex (vertices joined by edges) and of a vertex
+link (cubes joined by quads) is one graph walk, ``_connected``.
 """
 
 from dataclasses import dataclass, field
@@ -76,60 +78,48 @@ class CubicalComplex:
         return all(sum(1 for f in facets if r < f) == 2 for r in ridges)
 
     def is_connected(self):
-        verts = sorted(self.vertex_ids)
-        if not verts:
-            return True
-        adj = {v: set() for v in verts}
-        for e in self.faces_by_dim.get(1, ()):
-            a, b = sorted(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
+        return _connected(self.vertex_ids, self.faces_by_dim.get(1, ()))
 
     def vertex_link_surface_check(self, v):
         """For a 3-dimensional complex: is the link of v a closed connected
         surface of Euler characteristic 2?
 
         Link cells: edges at v are link vertices, 2-faces at v are link
-        edges, 3-cubes at v are link triangles.
+        edges, 3-cubes at v are link triangles.  Closed: every link edge
+        lies in exactly two link triangles.  Connected: the link triangles
+        are joined across shared link edges.
         """
         edges = [f for f in self.faces_by_dim.get(1, ()) if v in f]
         quads = [f for f in self.faces_by_dim.get(2, ()) if v in f]
         cubes = [f for f in self.faces_by_dim.get(3, ()) if v in f]
-        chi = len(edges) - len(quads) + len(cubes)
-        if chi != 2:
+        if len(edges) - len(quads) + len(cubes) != 2:
             return False
-        # closed: every link edge (quad at v) lies in exactly two link
-        # triangles (cubes at v)
-        for q in quads:
-            if sum(1 for c in cubes if q < c) != 2:
-                return False
-        # connected: walk link triangles across shared link edges
+        # a link with no triangles is no surface, though the walk below
+        # would call its empty graph connected
         if not cubes:
             return False
-        quad_to_cubes = {}
-        for c in cubes:
-            for q in quads:
-                if q < c:
-                    quad_to_cubes.setdefault(q, []).append(c)
-        seen = {cubes[0]}
-        stack = [cubes[0]]
-        while stack:
-            c = stack.pop()
-            for q, cs in quad_to_cubes.items():
-                if q < c:
-                    for c2 in cs:
-                        if c2 not in seen:
-                            seen.add(c2)
-                            stack.append(c2)
-        return len(seen) == len(cubes)
+        cubes_at_quad = [[c for c in cubes if q < c] for q in quads]
+        return all(len(cs) == 2 for cs in cubes_at_quad) and _connected(
+            cubes, cubes_at_quad
+        )
+
+
+def _connected(nodes, links):
+    """True when ``links`` (groups of nodes, each group joined together)
+    connect all of ``nodes``; an empty graph counts as connected."""
+    touching = {x: [] for x in nodes}
+    for link in links:
+        for x in link:
+            touching[x].append(link)
+    stack = list(touching)[:1]
+    seen = set(stack)
+    while stack:
+        for link in touching[stack.pop()]:
+            for y in link:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return len(seen) == len(touching)
 
 
 def from_cube_facets(n, facet_sign_vectors):

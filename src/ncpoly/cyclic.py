@@ -27,9 +27,6 @@ class CyclicConfiguration:
         t = Fraction(self.ts[i])
         return tuple(t ** j for j in range(self.rank))
 
-    def matrix(self):
-        return tuple(self.row(i) for i in range(self.n))
-
 
 def cyclic_configuration(n, d, ts=None) -> CyclicConfiguration:
     if d + 1 > n:

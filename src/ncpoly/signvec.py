@@ -78,14 +78,6 @@ def vertex_tuple_from_bits(bits, n):
     return tuple(1 if bits >> i & 1 else -1 for i in range(n))
 
 
-def bits_from_vertex_tuple(vt):
-    bits = 0
-    for i, s in enumerate(vt):
-        if s == 1:
-            bits |= 1 << i
-    return bits
-
-
 def subfaces(sv, k):
     """All k-faces of the cube face ``sv``."""
     zeros = zero_positions(sv)
@@ -101,10 +93,8 @@ def subfaces(sv, k):
             yield tuple(face)
 
 
-def all_faces(n, max_zeros=None):
+def all_faces(n, max_zeros):
     """Every face of the n-cube with at most ``max_zeros`` zeroes."""
-    if max_zeros is None:
-        max_zeros = n
     for sv in product((-1, 0, 1), repeat=n):
         if face_dim(sv) <= max_zeros:
             yield sv

@@ -6,8 +6,11 @@ vertices: one central cube stretched between the free quadrilaterals of A
 and C, four side cubes wrapping around it, four new edges and eight new
 quadrilaterals, no new vertices.  The result is a cubical 3-sphere with
 more facets than the polytope it came from.
+The glued cells and the intersection lemma are built from the cube-face
+operations of ``signvec`` (``meet``, ``vertex_set``, ``is_subface``).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import signvec
@@ -52,12 +55,9 @@ def build_phi() -> CubicalComplex:
 def phi_boundary_faces():
     """2-faces of the chain lying in exactly one of its three cubes."""
     ab, bc = _quad_between()
-    quads = []
-    for top in (FACET_A, FACET_B, FACET_C):
-        quads.extend(signvec.subfaces(top, 2))
-    counts = {}
-    for q in quads:
-        counts[q] = counts.get(q, 0) + 1
+    counts = Counter(
+        q for top in (FACET_A, FACET_B, FACET_C) for q in signvec.subfaces(top, 2)
+    )
     inner = {ab, bc}
     return [q for q, c in counts.items() if c == 1 and q not in inner]
 
@@ -69,8 +69,11 @@ def phi_boundary_complex() -> CubicalComplex:
 def intersection_lemma_check() -> bool:
     """Every other facet meets the chain boundary in at most one face.
 
-    Additionally re-checks the three disjointness facts behind it: no facet
-    sees vertices of both members of (A-B, B-A), (B-C, C-B), (A-B, C-B).
+    The boundary faces inside a facet F are the faces of meet(q, F) over the
+    boundary quads q, so they form one face's closure exactly when one of
+    those meets holds all the others.  Additionally re-checks the three
+    disjointness facts behind it: no facet sees vertices of both members of
+    (A-B, B-A), (B-C, C-B), (A-B, C-B).
     """
     ab, bc = _quad_between()
     a_minus_b = _opposite(FACET_A, ab)
@@ -81,24 +84,10 @@ def intersection_lemma_check() -> bool:
     others = [f for f in boundary_facets() if f not in (FACET_A, FACET_B, FACET_C)]
 
     boundary = phi_boundary_faces()
-    boundary_all = set()
-    for q in boundary:
-        for k in range(3):
-            boundary_all.update(signvec.subfaces(q, k))
     for facet in others:
-        common = [w for w in boundary_all if signvec.is_subface(w, facet)]
-        if not common:
-            continue
-        maximal = [
-            w
-            for w in common
-            if not any(u != w and signvec.is_subface(w, u) for u in common)
-        ]
-        if len(maximal) != 1:
-            return False
-        top = maximal[0]
-        if set(common) != set(
-            sub for k in range(signvec.face_dim(top) + 1) for sub in signvec.subfaces(top, k)
+        meets = [m for m in (signvec.meet(q, facet) for q in boundary) if m is not None]
+        if meets and not any(
+            all(signvec.is_subface(m, top) for m in meets) for top in meets
         ):
             return False
 
@@ -129,7 +118,10 @@ def _glue_ball_cells():
     """New cells of the surgery: 4 edges, 8 quads, 5 cubes (vertex bitmask
     sets).  The central cube stretches from A-B down to C-B; a side cube for
     each free coordinate value wraps between a central side quad and the
-    chain boundary."""
+    chain boundary.
+
+    Every cell is the union of the vertex sets of some chain faces, with the
+    free coordinates p, q of A-B and C-B fixed where the cell says."""
     ab, bc = _quad_between()
     top = _opposite(FACET_A, ab)  # A - B
     bottom = _opposite(FACET_C, bc)  # C - B
@@ -138,64 +130,28 @@ def _glue_ball_cells():
         raise ConstructionError("top and bottom quads do not share free coordinates")
     p, q = free
 
-    def vert(base, sp, sq):
-        sv = list(base)
-        sv[p] = sp
-        sv[q] = sq
-        return signvec.bits_from_vertex_tuple(tuple(sv))
+    def cell(faces, fixed):
+        # every chain face is free at p and q, so the meet only fixes them
+        fix = tuple(fixed.get(i, 0) for i in range(N))
+        return frozenset().union(
+            *(signvec.vertex_set(signvec.meet(f, fix)) for f in faces)
+        )
 
-    edges = []
-    for sp in (-1, 1):
-        for sq in (-1, 1):
-            edges.append(frozenset({vert(top, sp, sq), vert(bottom, sp, sq)}))
+    corners = [{p: sp, q: sq} for sp in (-1, 1) for sq in (-1, 1)]
+    sides = [{pos: s} for pos in (p, q) for s in (-1, 1)]
 
-    central = frozenset(
-        vert(base, sp, sq)
-        for base in (top, bottom)
-        for sp in (-1, 1)
-        for sq in (-1, 1)
-    )
-
-    side_quads = []
-    for pos, other in ((p, q), (q, p)):
-        for s in (-1, 1):
-            quad = set()
-            for base in (top, bottom):
-                for t in (-1, 1):
-                    sv = list(base)
-                    sv[pos] = s
-                    sv[other] = t
-                    quad.add(signvec.bits_from_vertex_tuple(tuple(sv)))
-            side_quads.append((pos, s, frozenset(quad)))
-
+    edges = [cell((top, bottom), c) for c in corners]
+    side_quads = [cell((top, bottom), s) for s in sides]
     # path quads: top edge -> its A-quad edge -> B-quad edge -> bottom edge,
     # closed by a new edge; one for each (sign at p, sign at q) pair
-    ab_face = ab
-    bc_face = bc
-    path_quads = []
-    for sp in (-1, 1):
-        for sq in (-1, 1):
-            quad = {
-                vert(top, sp, sq),
-                vert(ab_face, sp, sq),
-                vert(bc_face, sp, sq),
-                vert(bottom, sp, sq),
-            }
-            path_quads.append((sp, sq, frozenset(quad)))
+    path_quads = [cell((top, ab, bc, bottom), c) for c in corners]
+    central = cell((top, bottom), {})
+    side_cubes = [cell((FACET_A, FACET_B, FACET_C), s) for s in sides]
 
-    phi_vertices = signvec.vertex_set(FACET_A) | signvec.vertex_set(FACET_B) | signvec.vertex_set(FACET_C)
-    side_cubes = []
-    for pos, s, quad in side_quads:
-        cube = frozenset(
-            b for b in phi_vertices if signvec.vertex_tuple_from_bits(b, N)[pos] == s
-        )
-        if len(cube) != 8:
-            raise ConstructionError("side cube does not have 8 vertices")
-        side_cubes.append(cube)
-
-    new_quads = [fq for _, _, fq in side_quads] + [fq for _, _, fq in path_quads]
     cubes = [central] + side_cubes
-    return edges, new_quads, cubes
+    if any(len(cube) != 8 for cube in cubes):
+        raise ConstructionError("glued cube does not have 8 vertices")
+    return edges, side_quads + path_quads, cubes
 
 
 def build_psi() -> CubicalComplex:

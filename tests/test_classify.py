@@ -102,6 +102,15 @@ def test_pklm_rejects_bad_triple():
         pklm_sphere(4, (5, 0, 0))
 
 
+def test_pklm_fvector_rejects_what_the_sphere_refuses():
+    # k + l + m must be d + 1, with l >= 1 and k, m >= 0
+    for d, triple in ((5, (1, 1, 1)), (4, (2, 2, 2)), (4, (5, 0, 0)), (4, (-1, 3, 3))):
+        for build in (pklm_sphere, pklm_fvector):
+            with pytest.raises(ValueError, match="invalid triple"):
+                build(d, triple)
+    assert pklm_fvector(4, (4, 1, 0)) == pklm_sphere(4, (4, 1, 0)).f_vector()
+
+
 def test_delta_tie_identity_up_to_d12():
     # delta_i(k,2,k) == delta_i(k+1,1,k) for every i; this is why odd d has
     # two neighborly types with equal f-vectors

@@ -43,7 +43,7 @@ def dual_configuration(cfg: CyclicConfiguration):
 
 def rank_pair(cfg: CyclicConfiguration):
     return (
-        int_rank([int_row(r) for r in cfg.matrix()]),
+        int_rank([int_row(cfg.row(i)) for i in range(cfg.n)]),
         int_rank([int_row(r) for r in dual_configuration(cfg)]),
     )
 

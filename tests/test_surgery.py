@@ -1,4 +1,5 @@
-from ncpoly import signvec
+from ncpoly import signvec, surgery
+from ncpoly.complexes import CubicalComplex, from_cube_facets
 from ncpoly.skeleton import dehn_sommerville_check
 from ncpoly.surgery import (
     FACET_A,
@@ -105,3 +106,275 @@ def test_counter_example_property():
 
     psi = build_psi()
     assert psi.f_vector()[3] == 66 > f_formula(6, 4) == 64
+
+
+# ---------------------------------------------------------------------------
+# references: the earlier, hand-written forms of the surgery and the sphere
+# checks, kept to compare the face-operation versions against
+# ---------------------------------------------------------------------------
+
+
+def _reference_glue_ball_cells():
+    """The glued cells built vertex by vertex from coordinate tuples."""
+
+    def bits(vt):
+        return sum(1 << i for i, s in enumerate(vt) if s == 1)
+
+    ab = signvec.meet(FACET_A, FACET_B)
+    bc = signvec.meet(FACET_B, FACET_C)
+    top = surgery._opposite(FACET_A, ab)
+    bottom = surgery._opposite(FACET_C, bc)
+    p, q = signvec.zero_positions(top)
+
+    def vert(base, sp, sq):
+        sv = list(base)
+        sv[p] = sp
+        sv[q] = sq
+        return bits(sv)
+
+    edges = []
+    for sp in (-1, 1):
+        for sq in (-1, 1):
+            edges.append(frozenset({vert(top, sp, sq), vert(bottom, sp, sq)}))
+
+    central = frozenset(
+        vert(base, sp, sq)
+        for base in (top, bottom)
+        for sp in (-1, 1)
+        for sq in (-1, 1)
+    )
+
+    side_quads = []
+    for pos, other in ((p, q), (q, p)):
+        for s in (-1, 1):
+            quad = set()
+            for base in (top, bottom):
+                for t in (-1, 1):
+                    sv = list(base)
+                    sv[pos] = s
+                    sv[other] = t
+                    quad.add(bits(sv))
+            side_quads.append((pos, s, frozenset(quad)))
+
+    path_quads = []
+    for sp in (-1, 1):
+        for sq in (-1, 1):
+            quad = {vert(top, sp, sq), vert(ab, sp, sq), vert(bc, sp, sq), vert(bottom, sp, sq)}
+            path_quads.append(frozenset(quad))
+
+    phi_vertices = signvec.vertex_set(FACET_A) | signvec.vertex_set(FACET_B) | signvec.vertex_set(FACET_C)
+    side_cubes = [
+        frozenset(b for b in phi_vertices if signvec.vertex_tuple_from_bits(b, surgery.N)[pos] == s)
+        for pos, s, _ in side_quads
+    ]
+    return edges, [fq for _, _, fq in side_quads] + path_quads, [central] + side_cubes
+
+
+def _reference_intersection_lemma_check():
+    """The lemma with the boundary closed under subfaces and its maximal
+    common face found by a scan; the disjointness half is unchanged."""
+    ab = signvec.meet(surgery.FACET_A, surgery.FACET_B)
+    bc = signvec.meet(surgery.FACET_B, surgery.FACET_C)
+    chain = (surgery.FACET_A, surgery.FACET_B, surgery.FACET_C)
+    others = [f for f in surgery.boundary_facets() if f not in chain]
+    boundary_all = set()
+    for q in surgery.phi_boundary_faces():
+        for k in range(3):
+            boundary_all.update(signvec.subfaces(q, k))
+    for facet in others:
+        common = [w for w in boundary_all if signvec.is_subface(w, facet)]
+        if not common:
+            continue
+        maximal = [
+            w
+            for w in common
+            if not any(u != w and signvec.is_subface(w, u) for u in common)
+        ]
+        if len(maximal) != 1:
+            return False
+        top = maximal[0]
+        if set(common) != set(
+            sub for k in range(signvec.face_dim(top) + 1) for sub in signvec.subfaces(top, k)
+        ):
+            return False
+    pairs = (
+        (surgery._opposite(surgery.FACET_A, ab), surgery._opposite(surgery.FACET_B, ab)),
+        (surgery._opposite(surgery.FACET_B, bc), surgery._opposite(surgery.FACET_C, bc)),
+        (surgery._opposite(surgery.FACET_A, ab), surgery._opposite(surgery.FACET_C, bc)),
+    )
+    for x, y in pairs:
+        xv = signvec.vertex_set(x)
+        yv = signvec.vertex_set(y)
+        for facet in others:
+            fv = signvec.vertex_set(facet)
+            if fv & xv and fv & yv:
+                return False
+    return True
+
+
+def _reference_is_connected(cx):
+    verts = sorted(cx.vertex_ids)
+    if not verts:
+        return True
+    adj = {v: set() for v in verts}
+    for e in cx.faces_by_dim.get(1, ()):
+        a, b = sorted(e)
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {verts[0]}
+    stack = [verts[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(verts)
+
+
+def _reference_vertex_link_surface_check(cx, v):
+    edges = [f for f in cx.faces_by_dim.get(1, ()) if v in f]
+    quads = [f for f in cx.faces_by_dim.get(2, ()) if v in f]
+    cubes = [f for f in cx.faces_by_dim.get(3, ()) if v in f]
+    if len(edges) - len(quads) + len(cubes) != 2:
+        return False
+    for q in quads:
+        if sum(1 for c in cubes if q < c) != 2:
+            return False
+    if not cubes:
+        return False
+    quad_to_cubes = {}
+    for c in cubes:
+        for q in quads:
+            if q < c:
+                quad_to_cubes.setdefault(q, []).append(c)
+    seen = {cubes[0]}
+    stack = [cubes[0]]
+    while stack:
+        c = stack.pop()
+        for q, cs in quad_to_cubes.items():
+            if q < c:
+                for c2 in cs:
+                    if c2 not in seen:
+                        seen.add(c2)
+                        stack.append(c2)
+    return len(seen) == len(cubes)
+
+
+def _boundary_chains():
+    """Every chain (A, B, C) of boundary facets of (6,4) whose consecutive
+    meets are quadrilaterals and whose ends are disjoint."""
+    facets = boundary_facets()
+
+    def quad_meet(f, g):
+        m = signvec.meet(f, g)
+        return m is not None and signvec.face_dim(m) == 2
+
+    return [
+        (a, b, c)
+        for b in facets
+        for a in facets
+        if quad_meet(a, b)
+        for c in facets
+        if c != a and quad_meet(b, c) and signvec.meet(a, c) is None
+    ]
+
+
+def _cubical_cone(triangles):
+    """A cubical complex whose link at vertex 0 is the simplicial complex
+    ``triangles``: each triangle T spans the cube of the subsets of T
+    (vertex ID = bitmask), with every interval [A, B] inside it a face."""
+
+    def subsets(mask):
+        out = [0]
+        for i in range(mask.bit_length()):
+            if mask >> i & 1:
+                out += [s | 1 << i for s in out]
+        return out
+
+    faces_by_dim = {}
+    for t in triangles:
+        for upper in subsets(sum(1 << x for x in t)):
+            for lower in subsets(upper):
+                face = frozenset(lower | s for s in subsets(upper & ~lower))
+                faces_by_dim.setdefault(bin(upper & ~lower).count("1"), set()).add(face)
+    return CubicalComplex(faces_by_dim)
+
+
+def _octahedron(xp, xm, yp, ym, zp, zm):
+    """Triangles of the octahedron with antipodal pairs (xp, xm), (yp, ym),
+    (zp, zm): one vertex from each pair."""
+    return [(x, y, z) for x in (xp, xm) for y in (yp, ym) for z in (zp, zm)]
+
+
+def _loose_complex():
+    """A 3-cube with a path of two edges through a vertex (8) in no cube,
+    and a vertex (9) in no edge: the link of 8 has Euler characteristic 2."""
+    cube = from_cube_facets(3, [(0, 0, 0)])
+    return CubicalComplex(
+        {
+            0: set(cube.faces_by_dim[0]) | {frozenset({8}), frozenset({9})},
+            1: set(cube.faces_by_dim[1]) | {frozenset({8, 0}), frozenset({8, 1})},
+            2: cube.faces_by_dim[2],
+            3: cube.faces_by_dim[3],
+        }
+    )
+
+
+def test_glued_cells_match_reference():
+    assert surgery._glue_ball_cells() == _reference_glue_ball_cells()
+
+
+def test_intersection_lemma_matches_reference_on_every_chain(monkeypatch):
+    chains = _boundary_chains()
+    assert len(chains) == 384
+    outcomes = []
+    for a, b, c in chains:
+        monkeypatch.setattr(surgery, "FACET_A", a)
+        monkeypatch.setattr(surgery, "FACET_B", b)
+        monkeypatch.setattr(surgery, "FACET_C", c)
+        got = intersection_lemma_check()
+        assert got == _reference_intersection_lemma_check(), (a, b, c)
+        outcomes.append(got)
+    assert outcomes.count(True) == 8
+    assert (FACET_A, FACET_B, FACET_C) in [t for t, ok in zip(chains, outcomes) if ok]
+
+
+def test_lemma_refuses_a_facet_through_an_inner_quad(monkeypatch):
+    # the 3-face 0+0++0 holds the quad A-B of the chain, so it meets the
+    # chain boundary in that quad's four edges, not in one face; it touches
+    # no pair the disjointness half looks at, so only the closure half sees it
+    facets = boundary_facets() + [signvec.parse("0+0++0")]
+    monkeypatch.setattr(surgery, "boundary_facets", lambda: facets)
+    assert _reference_intersection_lemma_check() is False
+    assert intersection_lemma_check() is False
+
+
+def test_sphere_checks_match_reference():
+    psi = build_psi()
+    cut = sorted(psi.faces_by_dim[3], key=sorted)[0]
+    psi_cut = CubicalComplex({**psi.faces_by_dim, 3: psi.faces_by_dim[3] - {cut}})
+    assert not verify_sphere_like(psi_cut).ok
+    for cx in (psi, boundary_complex(), build_phi(), psi_cut, _loose_complex()):
+        assert cx.is_connected() == _reference_is_connected(cx)
+        for v in sorted(cx.vertex_ids):
+            assert cx.vertex_link_surface_check(v) == _reference_vertex_link_surface_check(cx, v), v
+
+
+def test_vertex_in_no_cube_has_no_surface_link():
+    loose = _loose_complex()
+    assert loose.is_connected() is False
+    assert loose.vertex_link_surface_check(8) is False
+
+
+def test_link_with_a_quad_in_four_cubes_is_not_closed():
+    # two octahedra glued along the link edges {0, 1} and {2, 3} only: the
+    # link has Euler characteristic 8 - 22 + 16 = 2 and is connected, but
+    # each glued link edge lies in four link triangles
+    first = _octahedron(0, 2, 1, 3, 4, 5)
+    second = _octahedron(0, 3, 1, 2, 6, 7)
+    cx = _cubical_cone(first + second)
+    assert cx.vertex_link_surface_check(0) is False
+    assert _reference_vertex_link_surface_check(cx, 0) is False
+    sphere = _cubical_cone(first)
+    assert sphere.vertex_link_surface_check(0) is True
+    assert _reference_vertex_link_surface_check(sphere, 0) is True

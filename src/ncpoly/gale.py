@@ -61,32 +61,12 @@ def facets_gale(n, d):
     return out
 
 
-def initial_run(alpha) -> int:
-    """p = min{i >= 0 : neither +(i+1) nor -(i+1) lies in alpha}."""
-    support = {abs(a) for a in alpha}
-    p = 0
-    while p + 1 in support:
-        p += 1
-    return p
-
-
 def to_sign_vector(alpha, n):
     """Sign vector of the cube face named by alpha (zeroes elsewhere)."""
     sv = [0] * n
     for a in alpha:
         sv[abs(a) - 1] = 1 if a > 0 else -1
     return tuple(sv)
-
-
-def induced_rows_sigma(alpha):
-    """Row subset and sign completion used by the positive-circuit test.
-
-    Signs at positions outside the support never enter the selected rows and
-    default to +1.
-    """
-    rows = tuple(sorted(map(abs, alpha)))
-    sigma = {abs(a): (1 if a > 0 else -1) for a in alpha}
-    return rows, sigma
 
 
 def is_positive_circuit(n, d, sigma, rows, epsilon) -> bool:
@@ -111,8 +91,10 @@ def alpha_is_positive_circuit(n, d, alpha, epsilon) -> bool:
     """The positive-circuit test for the cube face named by the signed label
     alpha.  Raises ValueError unless alpha has n-d+1 elements, none of them
     outside +-(1..n), and is disjoint from -alpha."""
-    rows, sigma = induced_rows_sigma(alpha)
-    return is_positive_circuit(n, d, sigma, rows, epsilon)
+    sigma = {abs(a): (1 if a > 0 else -1) for a in alpha}
+    # rows come from alpha, not sigma's keys, so a label holding both k and
+    # -k keeps k twice and is refused as a repeated row
+    return is_positive_circuit(n, d, sigma, sorted(map(abs, alpha)), epsilon)
 
 
 def f_formula(n, d) -> int:

@@ -46,13 +46,6 @@ class HPolytope:
             ineqs.append((normal, Fraction(rhs)))
         self.inequalities = tuple(ineqs)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HPolytope)
-            and self.dim == other.dim
-            and self.inequalities == other.inequalities
-        )
-
     def to_json_dict(self):
         return {
             "dim": self.dim,
@@ -99,29 +92,15 @@ class VPolytope:
 class IncidenceStructure:
     """Vertex-facet incidence plus the face lattice derived from it."""
 
-    def __init__(self, vertex_count, incidence, coords=None, labels=None, inequalities=None):
+    def __init__(self, vertex_count, incidence, labels=None, inequalities=None):
         self.vertex_count = vertex_count
         self.incidence = tuple(frozenset(s) for s in incidence)
         self.facet_count = len(self.incidence)
         if any(not s for s in self.incidence):
             raise ValueError("empty facet")
-        self.coords = coords
         self.labels = labels
         self.inequalities = inequalities
         self._lattice = None
-
-    def to_json_dict(self):
-        d = {
-            "vertex_count": self.vertex_count,
-            "facet_count": self.facet_count,
-            "incidence": [sorted(s) for s in self.incidence],
-        }
-        if self.inequalities is not None:
-            d["inequalities"] = [
-                {"normal": [str(x) for x in n], "rhs": str(r)}
-                for n, r in self.inequalities
-            ]
-        return d
 
 
 def canonical_inequality(normal, rhs):
@@ -283,7 +262,6 @@ def facets_from_vrep(v: VPolytope) -> IncidenceStructure:
     return IncidenceStructure(
         vertex_count=len(v.points),
         incidence=[inc for inc, _ in entries],
-        coords=v.points,
         labels=v.labels,
         inequalities=tuple(ineq for _, ineq in entries),
     )
@@ -328,10 +306,6 @@ def face_lattice(inc: IncidenceStructure):
             for depth in range(top, -1, -1)
         }
     return inc._lattice
-
-
-def polytope_dim(inc: IncidenceStructure):
-    return max(face_lattice(inc)) + 1
 
 
 def graph_of(inc: IncidenceStructure):
@@ -403,7 +377,8 @@ def hypercube_graph_iso(edges, n):
             level[x] = k
     if len(label) != 2 ** n:
         return None
-    if len(edges) != n * 2 ** (n - 1):
+    # a repeated edge, in either orientation, is one edge of the graph
+    if len({frozenset(e) for e in edges}) != n * 2 ** (n - 1):
         return None
     for a, b in edges:
         x = label[a] ^ label[b]
@@ -412,74 +387,3 @@ def hypercube_graph_iso(edges, n):
     return {
         v: tuple(1 if label[v] >> i & 1 else -1 for i in range(n)) for v in verts
     }
-
-
-# ---------------------------------------------------------------------------
-# OFF export (inspection only, dim <= 3)
-# ---------------------------------------------------------------------------
-
-
-def _decimal_or_fraction(x: Fraction) -> str:
-    num, den = x.numerator, x.denominator
-    d = den
-    for p in (2, 5):
-        while d % p == 0:
-            d //= p
-    if d != 1:
-        return f"{num}/{den}"
-    digits = 0
-    scaled = num
-    while scaled % den:
-        scaled *= 10
-        digits += 1
-    q = scaled // den
-    if digits == 0:
-        return str(q)
-    s = str(abs(q)).rjust(digits + 1, "0")
-    return ("-" if q < 0 else "") + s[:-digits] + "." + s[-digits:]
-
-
-def _facet_cycle(face, edges):
-    """Order the vertices of a 2-face along its edge cycle."""
-    adj = {}
-    for a, b in edges:
-        if a in face and b in face:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-    start = min(face)
-    cycle = [start]
-    prev = None
-    cur = start
-    while True:
-        nbrs = [x for x in adj[cur] if x != prev]
-        if not nbrs:
-            return sorted(face)
-        prev, cur = cur, nbrs[0]
-        if cur == start:
-            return cycle
-        cycle.append(cur)
-
-
-def to_off(inc: IncidenceStructure) -> str:
-    """OFF text for objects of dimension at most 3, with exact coordinates."""
-    if inc.coords is None:
-        raise ValueError("OFF export needs coordinates")
-    top = polytope_dim(inc)
-    if top > 3:
-        raise DimensionError("OFF export is limited to dimension <= 3")
-    pts = [p + (Fraction(0),) * (3 - len(p)) for p in inc.coords]
-    if top == 3:
-        faces = [sorted(f) for f in face_lattice(inc)[2]]
-        edges = [tuple(sorted(e)) for e in face_lattice(inc)[1]]
-    elif top == 2:
-        faces = [sorted(range(inc.vertex_count))]
-        edges = [tuple(sorted(e)) for e in face_lattice(inc).get(1, ())]
-    else:
-        faces, edges = [], []
-    lines = ["OFF", f"{len(pts)} {len(faces)} {len(edges)}"]
-    for p in pts:
-        lines.append(" ".join(_decimal_or_fraction(x) for x in p))
-    for f in faces:
-        cyc = _facet_cycle(frozenset(f), edges) if edges else f
-        lines.append(f"{len(cyc)} " + " ".join(map(str, cyc)))
-    return "\n".join(lines) + "\n"

@@ -11,7 +11,6 @@ from ncpoly.gale import (
     f_formula,
     facets_gale,
     gap_even,
-    initial_run,
     is_positive_circuit,
     to_sign_vector,
 )
@@ -71,11 +70,36 @@ def test_chain_facet_sign_vectors():
         assert alpha in facets
 
 
+def _initial_run(alpha):
+    # p = min{i >= 0 : neither +(i+1) nor -(i+1) lies in alpha}
+    support = {abs(a) for a in alpha}
+    p = 0
+    while p + 1 in support:
+        p += 1
+    return p
+
+
 def test_initial_run():
-    assert initial_run({-1, 2, 5}) == 2
-    assert initial_run({-1, 4, 5}) == 1
-    assert initial_run({3, 5}) == 0
-    assert initial_run({-1, 2, -3}) == 3
+    assert _initial_run({-1, 2, 5}) == 2
+    assert _initial_run({-1, 4, 5}) == 1
+    assert _initial_run({3, 5}) == 0
+    assert _initial_run({-1, 2, -3}) == 3
+
+
+def test_facet_labels_obey_the_module_docstring_rule():
+    # p = 0: position 1 unused, gap-even support; p >= 1: the prefix
+    # -1, +2, -3, ... up to p-1, position p+1 unused, a gap-even tail past p
+    for n in range(2, 10):
+        for d in range(2, n + 1):
+            for alpha in facets_gale(n, d):
+                p = _initial_run(alpha)
+                support = sorted(abs(a) for a in alpha)
+                assert p + 1 not in support, (n, d, alpha)
+                if p == 0:
+                    assert gap_even(support), (n, d, alpha)
+                else:
+                    assert all((-1) ** k * k in alpha for k in range(1, p)), (n, d, alpha)
+                    assert gap_even([k for k in support if k > p]), (n, d, alpha)
 
 
 def test_gap_even():
@@ -117,6 +141,7 @@ def test_positive_circuit_rejects_bad_rows(n, d, rows):
         frozenset({-1, 1, 2, -2}),
         frozenset({2, 3, 4, 9}),
         frozenset({0, 3, 4, 5}),
+        frozenset({2, 3, -3, 4, 5}),  # four distinct rows, but 3 is named twice
     ],
 )
 def test_alpha_circuit_rejects_bad_labels(alpha):

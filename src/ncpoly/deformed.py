@@ -92,6 +92,8 @@ def certify_epsilon(n, d, epsilon) -> bool:
     that actually carry a diagonal epsilon entry, the maximal minor must be
     nonzero and agree in sign with its value at epsilon = 0.
     """
+    if not n >= d >= 2:
+        raise ValueError("need n >= d >= 2")
     if not 0 < Fraction(epsilon) <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     if n == d:

@@ -180,22 +180,6 @@ def _extreme_rays(rows, width):
 # ---------------------------------------------------------------------------
 
 
-def _fm_feasible(rows, d):
-    """Fourier-Motzkin feasibility for rows (normal..., rhs) over ints."""
-    rows = [list(r) for r in rows]
-    for col in range(d):
-        pos, neg, rest = [], [], []
-        for r in rows:
-            (pos if r[col] > 0 else neg if r[col] < 0 else rest).append(r)
-        for p in pos:
-            for q in neg:
-                rest.append(
-                    [p[j] * -q[col] + q[j] * p[col] for j in range(d + 1)]
-                )
-        rows = [list(primitive(r)) for r in rest]
-    return all(r[d] >= 0 for r in rows)
-
-
 def vertices_and_tight_sets(h: HPolytope):
     """All vertices of a bounded H-polytope, sorted, each paired with the
     frozenset of indices of the inequalities tight at it.
@@ -214,7 +198,12 @@ def vertices_and_tight_sets(h: HPolytope):
     rays = _extreme_rays(cone, d + 1)
     # the cone has rank d+1 exactly when the normals span R^d
     if rays is None:
-        if _fm_feasible(int_rows, d):
+        # normal . x sees only x's part in the normals' row space, so the
+        # system in coordinates z of an echelon basis of that space is
+        # feasible exactly when this one is; its cone is pointed
+        basis = [e for e, _ in echelon([c[:d] for c in cone]).values()]
+        sub = [tuple(sum(a * b for a, b in zip(c, e)) for e in basis) + (c[d],) for c in cone]
+        if any(ray[-1] for ray, _ in _extreme_rays(sub, len(basis) + 1)):
             raise UnboundedPolytopeError("normals do not span; feasible set has a line")
         raise EmptyPolytopeError("inconsistent inequality system")
     verts = sorted(

@@ -6,6 +6,7 @@ must map to a face of the target of the same dimension, and nothing else may
 appear.
 """
 
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -96,13 +97,12 @@ def upper_face_subdivision(n, d):
     """
     if d < 2 or n < d + 1:
         raise ValueError("need n >= d+1 and d >= 2")
+    # one eps must certify both shadows; halving walks down choose_epsilon's range
     eps = choose_epsilon(n, d + 1)
-    halved = False
-    while not certify_epsilon(n, d, eps):
-        eps = eps / 2
-        halved = True
-    if halved and not certify_epsilon(n, d + 1, eps):
-        raise ConstructionError(f"epsilon {eps} fails the minor-sign certificate")
+    while not (certify_epsilon(n, d, eps) and certify_epsilon(n, d + 1, eps)):
+        eps /= 2
+        if eps < Fraction(1, 2 ** 64):
+            raise ConstructionError("no certified epsilon found down to 2^-64")
     # both shadows come from one cube, so vertex i is the same in each
     cube = cube_vertices_labeled(n, eps)
     inc_upper = facets_from_vrep(project_last(cube, d + 1))

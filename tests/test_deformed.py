@@ -185,6 +185,16 @@ def test_certify_refuses_epsilon_out_of_range():
     assert certify_epsilon(4, 2, 1) is False and certify_epsilon(4, 4, 1) is True
 
 
+def test_certify_refuses_dimensions_out_of_range():
+    for call, args in [
+        (certify_epsilon, (5, 0, Fraction(1, 2))),
+        (choose_epsilon, (5, 1)),
+        (certify_epsilon, (3, 5, Fraction(1, 2))),
+    ]:
+        with pytest.raises(ValueError, match=r"^need n >= d >= 2$"):
+            call(*args)
+
+
 def test_certify_vacuous_when_n_equals_d():
     assert certify_epsilon(4, 4, Fraction(1, 2))
     assert choose_epsilon(4, 4) == Fraction(1, 2)

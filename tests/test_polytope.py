@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -8,10 +9,11 @@ import pytest
 from ncpoly.deformed import projected_cube
 from ncpoly.errors import (
     EmptyPolytopeError,
+    NcpolyError,
     SpanError,
     UnboundedPolytopeError,
 )
-from ncpoly.intops import left_kernel, int_rank
+from ncpoly.intops import int_rank, int_row, left_kernel, primitive
 from ncpoly.polytope import (
     HPolytope,
     IncidenceStructure,
@@ -72,6 +74,28 @@ def test_rank_deficient_feasible_is_unbounded():
     h = HPolytope(2, [((1, 0), 1), ((-1, 0), 0)])
     with pytest.raises(UnboundedPolytopeError):
         vertices_from_hrep(h)
+
+
+# normal . x <= 10 in R^5, the fifth coordinate unused.  Fourier-Motzkin
+# elimination without redundancy removal grows these 14 rows to 33, 270,
+# 7,585 and 7,239,424 rows, about 49 s in all.
+_FLAT_NORMALS = [
+    (1, -5, 3, 1, 0), (0, 1, 4, -5, 0), (2, -5, -3, 4, 0), (-2, -4, -2, 2, 0),
+    (0, 3, 0, 3, 0), (-1, 2, -4, 4, 0), (0, -1, -5, 1, 0), (-4, -2, 0, 3, 0),
+    (4, 0, -3, 0, 0), (-1, 3, -4, -1, 0), (5, 0, -1, -3, 0), (-4, 5, -3, -1, 0),
+    (2, -3, -5, -4, 0), (4, 3, 1, -5, 0),
+]
+
+
+def test_rank_deficient_system_is_decided_at_once():
+    # x_1 <= -1 and -x_1 <= -1 make the second system inconsistent
+    rows = [(normal, 10) for normal in _FLAT_NORMALS]
+    clash = [((1, 0, 0, 0, 0), -1), ((-1, 0, 0, 0, 0), -1)]
+    for system, error in [(rows, UnboundedPolytopeError), (rows + clash, EmptyPolytopeError)]:
+        start = time.perf_counter()
+        with pytest.raises(error):
+            vertices_from_hrep(HPolytope(5, system))
+        assert time.perf_counter() - start < 1
 
 
 def test_cube_facets():
@@ -368,6 +392,91 @@ def test_tight_sets_match_fraction_evaluation():
                 for i, (normal, rhs) in enumerate(h.inequalities)
                 if sum(a * x for a, x in zip(normal, point)) == rhs
             }
+
+
+def _fm_feasible(rows, d):
+    """Reference feasibility of normal . x <= rhs, given as integer rows
+    (normal..., rhs): Fourier-Motzkin elimination of one column at a time,
+    with no redundancy removal, so for small systems only."""
+    rows = [list(r) for r in rows]
+    for col in range(d):
+        pos, neg, rest = [], [], []
+        for r in rows:
+            (pos if r[col] > 0 else neg if r[col] < 0 else rest).append(r)
+        for p in pos:
+            for q in neg:
+                rest.append([p[j] * -q[col] + q[j] * p[col] for j in range(d + 1)])
+        rows = [list(primitive(r)) for r in rest]
+    return all(r[d] >= 0 for r in rows)
+
+
+def _rank_deficient_systems(count):
+    """Seeded systems of 1 to 6 rows in R^d, d = 2..4, whose normals are
+    small combinations of at most d-1 generators, so they never span."""
+    rng = random.Random(12)
+    for trial in range(count):
+        d = 2 + trial % 3
+        gens = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(1, d - 1))]
+        gens[0][rng.randrange(d)] = rng.choice((-2, -1, 1, 2))
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            normal = [0] * d
+            while not any(normal):
+                coeffs = [rng.randint(-2, 2) for _ in gens]
+                normal = [sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(d)]
+            rows.append((normal, rng.randint(-3, 5)))
+        yield HPolytope(d, rows)
+
+
+def _hrep_error(h):
+    with pytest.raises(NcpolyError) as err:
+        vertices_and_tight_sets(h)
+    return err.type, str(err.value)
+
+
+def test_rank_deficient_verdict_matches_fourier_motzkin():
+    feasible = []
+    for h in _rank_deficient_systems(2000):
+        feasible.append(_fm_feasible([int_row(n + (r,)) for n, r in h.inequalities], h.dim))
+        want = UnboundedPolytopeError if feasible[-1] else EmptyPolytopeError
+        assert _hrep_error(h)[0] is want, h.inequalities
+    assert (feasible.count(True), feasible.count(False)) == (1408, 592)
+
+
+def _shuffled(rng, items):
+    """A random order of ``items``, and the old index of each new position."""
+    perm = rng.sample(range(len(items)), len(items))
+    return [items[i] for i in perm], perm
+
+
+def test_hull_is_independent_of_point_order():
+    # the same inequalities; each facet's points renamed by the shuffle
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 40:
+        v = _random_point_set(rng, 2 + checked % 3)
+        try:
+            inc = facets_from_vrep(v)
+        except SpanError:
+            continue
+        points, perm = _shuffled(rng, v.points)
+        other = facets_from_vrep(VPolytope(v.dim, points))
+        assert other.inequalities == inc.inequalities
+        assert [frozenset(perm[i] for i in f) for f in other.incidence] == list(inc.incidence)
+        checked += 1
+
+
+def test_vertices_are_independent_of_row_order():
+    # the same vertices; each tight set renamed by the shuffle, and the same
+    # error, class and message, when the normals do not span
+    rng = random.Random(20261020)
+    for h in _random_box_cuts():
+        rows, perm = _shuffled(rng, h.inequalities)
+        other = vertices_and_tight_sets(HPolytope(h.dim, rows))
+        assert [(p, frozenset(perm[i] for i in t)) for p, t in other] == vertices_and_tight_sets(h)
+    for h in _rank_deficient_systems(300):
+        rows, _ = _shuffled(rng, h.inequalities)
+        assert _hrep_error(HPolytope(h.dim, rows)) == _hrep_error(h)
 
 
 def _intersection_closure(incidence):

@@ -1,10 +1,12 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from ncpoly import signvec
+from ncpoly import signvec, skeleton
 from ncpoly.complexes import CubicalComplex
 from ncpoly.deformed import certify_epsilon, choose_epsilon, cube_vertices_labeled, project_last
+from ncpoly.errors import ConstructionError
 from ncpoly.polytope import IncidenceStructure, VPolytope, face_lattice, facets_from_vrep
 from ncpoly.skeleton import (
     cube_skeleton,
@@ -172,6 +174,38 @@ def test_upper_face_subdivision_needs_room():
         upper_face_subdivision(4, 4)
     with pytest.raises(ValueError):
         upper_face_subdivision(4, 1)
+
+
+def test_upper_face_subdivision_eps_walk_is_bounded(monkeypatch):
+    # a certificate that never passes stops at choose_epsilon's floor
+    tried = []
+
+    def never(n, d, eps):
+        tried.append(eps)
+        return False
+
+    monkeypatch.setattr(skeleton, "certify_epsilon", never)
+    with pytest.raises(ConstructionError, match=r"^no certified epsilon found down to 2\^-64$"):
+        upper_face_subdivision(5, 4)
+    assert tried == [Fraction(1, 2 ** e) for e in range(1, 65)]
+
+
+def test_upper_face_subdivision_halves_until_both_shadows_certify(monkeypatch):
+    # (5,3) first passes at 1/4, where (5,4) fails; both pass at 1/8
+    class Stop(Exception):
+        pass
+
+    def certify(n, d, eps):
+        return eps <= Fraction(1, 4) if d == 3 else eps != Fraction(1, 4)
+
+    def stop(n, eps):
+        raise Stop(eps)
+
+    monkeypatch.setattr(skeleton, "certify_epsilon", certify)
+    monkeypatch.setattr(skeleton, "cube_vertices_labeled", stop)
+    with pytest.raises(Stop) as got:
+        upper_face_subdivision(5, 3)
+    assert got.value.args == (Fraction(1, 8),)
 
 
 # (5,2) and (6,3) halve the eps that certifies (n, d+1) before (n, d) passes

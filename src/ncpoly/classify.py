@@ -19,7 +19,7 @@ from .errors import TheoremViolationError
 from .polytope import (
     HPolytope,
     VPolytope,
-    face_lattice,
+    face_masks,
     facets_from_vrep,
     graph_of,
     hypercube_graph_iso,
@@ -266,18 +266,18 @@ class WitnessReport:
 
 def _witness_report(points):
     inc = facets_from_vrep(VPolytope(4, points))
-    lattice = face_lattice(inc)
-    all_vertices = len(lattice.get(0, ())) == len(points)
+    masks = face_masks(inc)
+    all_vertices = len(masks.get(0, ())) == len(points)
     iso = hypercube_graph_iso(graph_of(inc), 5)
     cubical = is_cubical(inc)
     base = [
-        f
+        sum(1 << i for i in f)
         for f, (normal, rhs) in zip(inc.incidence, inc.inequalities)
         if normal == (0, 0, 0, -1) and rhs == 0
     ]
     # the faces of the base facet are the faces of the polytope inside it
-    cube_facet_at_base = bool(base) and len(base[0]) == 8 and all(
-        len(f) == 2 ** k for k, faces in lattice.items() for f in faces if f <= base[0]
+    cube_facet_at_base = bool(base) and base[0].bit_count() == 8 and all(
+        f.bit_count() == 1 << k for k, fs in masks.items() for f in fs if f & base[0] == f
     )
     large = sorted(len(f) for f in inc.incidence if len(f) > 8)
     return WitnessReport(

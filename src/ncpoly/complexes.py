@@ -63,9 +63,13 @@ class CubicalComplex:
                     raise ConstructionError(
                         f"{k}-face with {cnt} codimension-1 subfaces"
                     )
-        all_faces = [f for faces in self.faces_by_dim.values() for f in faces]
-        face_set = set(all_faces)
-        for a, b in combinations(all_faces, 2):
+        # with every face in a facet and every two facets meeting in a face,
+        # faces a of F and b of G meet inside the cube F & G, in a face of it
+        face_set = set(self.all_faces())
+        facets = self.facets()
+        if not all(any(f <= g for g in facets) for f in face_set):
+            raise ConstructionError("face in no facet")
+        for a, b in combinations(facets, 2):
             c = a & b
             if c and c not in face_set:
                 raise ConstructionError("face family not closed under intersection")

@@ -10,7 +10,9 @@ Python integers, so results are exact.
 Each ray's zero set is the incidence it carries: the points on a facet, or
 the inequalities tight at a vertex.  Nothing downstream recomputes it.  The
 face lattice and its grading come from the vertex-facet incidence alone
-(Kaibel & Pfetsch 2002), with no coordinate arithmetic.
+(Kaibel & Pfetsch 2002), with no coordinate arithmetic.  Faces are stored
+as vertex bitmasks (``face_masks``); ``face_lattice`` is their frozenset
+view.
 """
 
 from fractions import Fraction
@@ -100,7 +102,7 @@ class IncidenceStructure:
             raise ValueError("empty facet")
         self.labels = labels
         self.inequalities = inequalities
-        self._lattice = None
+        self._lattice = None  # face_masks(self), built on first use
 
 
 def canonical_inequality(normal, rhs):
@@ -261,8 +263,9 @@ def facets_from_vrep(v: VPolytope) -> IncidenceStructure:
 # ---------------------------------------------------------------------------
 
 
-def face_lattice(inc: IncidenceStructure):
-    """Proper faces (as canonical vertex sets) grouped by dimension.
+def face_masks(inc: IncidenceStructure):
+    """Proper faces as vertex bitmasks (bit i is vertex i), grouped by
+    dimension: ``{dim: frozenset of masks}``.  Built once per structure.
 
     Graded from the vertex-facet incidence alone, top down (Kaibel &
     Pfetsch, "Computing the face lattice of a polytope from its
@@ -275,7 +278,7 @@ def face_lattice(inc: IncidenceStructure):
     """
     if inc._lattice is None:
         facets = [sum(1 << i for i in f) for f in inc.incidence]
-        levels = [set(facets)]
+        levels = [frozenset(facets)]
         while True:
             below = set()
             for f in levels[-1]:
@@ -288,29 +291,34 @@ def face_lattice(inc: IncidenceStructure):
                 below.update(kept)
             if not below:
                 break
-            levels.append(below)
+            levels.append(frozenset(below))
         top = len(levels) - 1
-        inc._lattice = {
-            top - depth: tuple(sorted((_members(m) for m in levels[depth]), key=sorted))
-            for depth in range(top, -1, -1)
-        }
+        inc._lattice = {top - depth: levels[depth] for depth in range(top, -1, -1)}
     return inc._lattice
+
+
+def face_lattice(inc: IncidenceStructure):
+    """Proper faces as canonical vertex sets grouped by dimension: the
+    frozenset view of ``face_masks``, each level sorted, built per call."""
+    return {
+        k: tuple(sorted((_members(m) for m in masks), key=sorted))
+        for k, masks in face_masks(inc).items()
+    }
 
 
 def graph_of(inc: IncidenceStructure):
     """1-faces as sorted unordered vertex-index pairs."""
-    lattice = face_lattice(inc)
-    return sorted(tuple(sorted(e)) for e in lattice.get(1, ()))
+    return sorted(tuple(sorted(_members(e))) for e in face_masks(inc).get(1, ()))
 
 
 def f_vector(inc: IncidenceStructure):
-    return tuple(len(faces) for faces in face_lattice(inc).values())
+    return tuple(len(masks) for masks in face_masks(inc).values())
 
 
 def is_cubical(inc: IncidenceStructure) -> bool:
     """Every proper face a combinatorial cube, certified by 2^k vertex counts."""
     return all(
-        len(f) == 2 ** k for k, faces in face_lattice(inc).items() for f in faces
+        f.bit_count() == 1 << k for k, masks in face_masks(inc).items() for f in masks
     )
 
 

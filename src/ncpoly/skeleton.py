@@ -19,7 +19,7 @@ from .deformed import (
     project_last,
 )
 from .errors import ConstructionError
-from .polytope import IncidenceStructure, face_lattice, facets_from_vrep
+from .polytope import IncidenceStructure, _members, face_masks, facets_from_vrep
 
 
 def cube_skeleton(n, r):
@@ -46,17 +46,18 @@ def verify_skeleton_equivalence(inc: IncidenceStructure, n, r) -> bool:
         raise ValueError("vertex labels must be distinct")
     if labels != set(product((-1, 1), repeat=n)):
         return False
-    lattice = face_lattice(inc)
-    faces = {k: set(lattice.get(k, ())) for k in range(r + 1)}
-    if any(len(faces[k]) != signvec.cube_face_count(n, k) for k in faces):
+    masks = face_masks(inc)
+    if any(len(masks.get(k, ())) != signvec.cube_face_count(n, k) for k in range(r + 1)):
         return False
-    by_label = {lab: i for i, lab in enumerate(inc.labels)}
+    # cube vertex (bitmask over its +1 coordinates) -> its vertex's mask
+    vertex_mask = {
+        sum(1 << j for j, s in enumerate(lab) if s == 1): 1 << i
+        for i, lab in enumerate(inc.labels)
+    }
     for sv in signvec.all_faces(n, max_zeros=r):
-        want = frozenset(
-            by_label[signvec.vertex_tuple_from_bits(b, n)]
-            for b in signvec.vertices_bits(sv)
-        )
-        if want not in faces[signvec.face_dim(sv)]:
+        # the vertices are distinct bits, so their sum is their union
+        want = sum(vertex_mask[b] for b in signvec.vertices_bits(sv))
+        if want not in masks[signvec.face_dim(sv)]:
             return False
     return True
 
@@ -77,10 +78,10 @@ def dehn_sommerville_check(fvec, d) -> bool:
 def double_r_cubicality_check(inc: IncidenceStructure, r) -> bool:
     """Every proper face of dimension <= 2r has 2^dim vertices."""
     return all(
-        len(f) == 2 ** k
-        for k, faces in face_lattice(inc).items()
+        f.bit_count() == 1 << k
+        for k, masks in face_masks(inc).items()
         if k <= 2 * r
-        for f in faces
+        for f in masks
     )
 
 
@@ -109,31 +110,31 @@ def upper_face_subdivision(n, d):
     lower = project_last(cube, d)
     inc_lower = facets_from_vrep(lower)
 
+    # faces, cells and facets as vertex bitmasks (bit i is vertex i)
     cells = [
-        frozenset(facet)
+        sum(1 << i for i in facet)
         for facet, (normal, _) in zip(inc_upper.incidence, inc_upper.inequalities)
         if normal[0] > 0
     ]
     if not cells:
         raise ConstructionError("no upper facets found")
 
-    covered = set().union(*cells)
-    if covered != set(range(len(lower.points))):
+    if set().union(*map(_members, cells)) != set(range(len(lower.points))):
         raise ConstructionError("cells do not cover every vertex")
 
-    lower_facet_sets = [set(f) for f in inc_lower.incidence]
+    lower_facets = [sum(1 << i for i in f) for f in inc_lower.incidence]
 
     # upper facets are not vertical, so each cell's faces are the upper faces in it
     faces_by_dim = {
-        k: {f for f in faces if any(f <= cell for cell in cells)}
-        for k, faces in face_lattice(inc_upper).items()
+        k: {f for f in masks if any(f & cell == f for cell in cells)}
+        for k, masks in face_masks(inc_upper).items()
         if k < d
     }
 
     # ridges: shared by exactly two cells or lying in a boundary facet
     for ridge in faces_by_dim[d - 1]:
-        cnt = sum(ridge <= cell for cell in cells)
-        on_boundary = any(ridge <= fs for fs in lower_facet_sets)
+        cnt = sum(ridge & cell == ridge for cell in cells)
+        on_boundary = any(ridge & fs == ridge for fs in lower_facets)
         if cnt == 2 and not on_boundary:
             continue
         if cnt == 1 and on_boundary:
@@ -144,8 +145,8 @@ def upper_face_subdivision(n, d):
     r = d // 2 - 1
     for k in range(r + 1):
         for f in faces_by_dim[k]:
-            if not any(f <= fs for fs in lower_facet_sets):
+            if not any(f & fs == f for fs in lower_facets):
                 raise ConstructionError(f"interior {k}-face in the subdivision")
 
-    faces_by_dim[d] = set(cells)
-    return CubicalComplex(faces_by_dim)
+    faces_by_dim[d] = cells
+    return CubicalComplex({k: {_members(f) for f in fs} for k, fs in faces_by_dim.items()})

@@ -6,6 +6,7 @@ from math import lcm
 
 import pytest
 
+from ncpoly import classify
 from ncpoly.deformed import projected_cube
 from ncpoly.errors import (
     EmptyPolytopeError,
@@ -21,6 +22,7 @@ from ncpoly.polytope import (
     canonical_inequality,
     f_vector,
     face_lattice,
+    face_masks,
     facets_from_vrep,
     graph_of,
     hypercube_graph_iso,
@@ -524,3 +526,40 @@ def test_coordinate_free_lattice_is_the_same():
         bare = IncidenceStructure(inc.vertex_count, inc.incidence)
         assert face_lattice(bare) == face_lattice(inc)
         assert f_vector(bare) == f_vector(inc)
+
+
+def _frozenset_view(inc):
+    """Each stored mask as the frozenset of its set bits, each level sorted."""
+    return {
+        k: tuple(
+            sorted(
+                (frozenset(i for i in range(inc.vertex_count) if m >> i & 1) for m in masks),
+                key=sorted,
+            )
+        )
+        for k, masks in face_masks(inc).items()
+    }
+
+
+def test_face_masks_match_face_lattice():
+    structures = [
+        facets_from_vrep(projected_cube(n, d).shadow) for n in range(2, 7) for d in range(2, n + 1)
+    ]
+    structures += [
+        facets_from_vrep(VPolytope(4, classify.CUBICAL_WITNESS_POINTS)),
+        facets_from_vrep(VPolytope(4, classify.NONCUBICAL_WITNESS_POINTS)),
+        facets_from_vrep(classify.first_construction(4)[1]),
+    ]
+    rng = random.Random(20261018)
+    want = len(structures) + 40
+    while len(structures) < want:
+        try:
+            structures.append(facets_from_vrep(_random_point_set(rng, 2 + len(structures) % 3)))
+        except SpanError:
+            continue
+    for inc in structures:
+        masks = face_masks(inc)
+        assert all(type(level) is frozenset for level in masks.values())
+        assert list(face_lattice(inc).items()) == list(_frozenset_view(inc).items())
+        # the masks are the one lattice the structure stores
+        assert inc._lattice is masks and face_masks(inc) is masks

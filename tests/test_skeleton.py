@@ -7,7 +7,13 @@ from ncpoly import signvec, skeleton
 from ncpoly.complexes import CubicalComplex
 from ncpoly.deformed import certify_epsilon, choose_epsilon, cube_vertices_labeled, project_last
 from ncpoly.errors import ConstructionError
-from ncpoly.polytope import IncidenceStructure, VPolytope, face_lattice, facets_from_vrep
+from ncpoly.polytope import (
+    IncidenceStructure,
+    VPolytope,
+    face_lattice,
+    face_masks,
+    facets_from_vrep,
+)
 from ncpoly.skeleton import (
     cube_skeleton,
     dehn_sommerville_check,
@@ -87,6 +93,74 @@ def test_shadow_skeleton_equivalence(constructed):
     pc, inc = constructed(5, 4)
     assert verify_skeleton_equivalence(inc, 5, 1)
     assert not verify_skeleton_equivalence(inc, 5, 2)
+
+
+def _reference_skeleton_equivalence(inc, n, r):
+    """The frozenset form of ``verify_skeleton_equivalence``: each cube face
+    becomes the frozenset of its vertices' indices, looked up in the
+    frozenset lattice."""
+    if set(inc.labels) != set(product((-1, 1), repeat=n)):
+        return False
+    lattice = face_lattice(inc)
+    faces = {k: set(lattice.get(k, ())) for k in range(r + 1)}
+    if any(len(faces[k]) != signvec.cube_face_count(n, k) for k in faces):
+        return False
+    by_label = {lab: i for i, lab in enumerate(inc.labels)}
+    for sv in signvec.all_faces(n, max_zeros=r):
+        want = frozenset(
+            by_label[signvec.vertex_tuple_from_bits(b, n)] for b in signvec.vertices_bits(sv)
+        )
+        if want not in faces[signvec.face_dim(sv)]:
+            return False
+    return True
+
+
+def _skeleton_mutants(inc):
+    """The shadow with two labels swapped, with its first facet dropped, and
+    with one label off {-1, +1}^n."""
+    labels = list(inc.labels)
+    swapped = labels[:]
+    swapped[0], swapped[-1] = swapped[-1], swapped[0]
+    off = labels[:]
+    off[0] = (0, *off[0][1:])
+    return [
+        IncidenceStructure(inc.vertex_count, inc.incidence, labels=swapped),
+        IncidenceStructure(inc.vertex_count, inc.incidence[1:], labels=labels),
+        IncidenceStructure(inc.vertex_count, inc.incidence, labels=off),
+    ]
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(4, 9) for d in range(2, n + 1)])
+def test_skeleton_check_matches_frozenset_reference(constructed, n, d):
+    _, inc = constructed(n, d)
+    masks = face_masks(inc)
+    r = d // 2 - 1
+    want = _reference_skeleton_equivalence(inc, n, r)
+    assert verify_skeleton_equivalence(inc, n, r) is want is True
+    assert verify_skeleton_equivalence(inc, n, r + 1) is _reference_skeleton_equivalence(
+        inc, n, r + 1
+    ) is (n == d)
+    # one lattice per structure: every check above read the stored masks
+    assert face_masks(inc) is masks
+    swapped, dropped, off = _skeleton_mutants(inc)
+    for mutant in (swapped, dropped, off):
+        for k in (r, r + 1):
+            want = _reference_skeleton_equivalence(mutant, n, k)
+            assert verify_skeleton_equivalence(mutant, n, k) is want, (k, mutant.facet_count)
+    assert verify_skeleton_equivalence(swapped, n, r + 1) is False
+    assert verify_skeleton_equivalence(off, n, r) is False
+
+
+def test_skeleton_check_refuses_extra_faces():
+    # pushing one cube vertex out folds its three squares into triangles:
+    # every cube edge stays an edge, and three diagonals join them
+    labels = list(product((-1, 1), repeat=3))
+    pts = [tuple(2 * x for x in p) if p == (1, 1, 1) else p for p in labels]
+    inc = facets_from_vrep(VPolytope(3, pts, labels=labels))
+    assert len(face_masks(inc)[1]) == 15
+    for r, want in ((0, True), (1, False)):
+        assert verify_skeleton_equivalence(inc, 3, r) is want
+        assert _reference_skeleton_equivalence(inc, 3, r) is want
 
 
 def test_dehn_sommerville_known_vectors():

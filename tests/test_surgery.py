@@ -1,5 +1,10 @@
+from itertools import combinations
+
+import pytest
+
 from ncpoly import signvec, surgery
 from ncpoly.complexes import CubicalComplex, from_cube_facets
+from ncpoly.errors import ConstructionError
 from ncpoly.skeleton import dehn_sommerville_check
 from ncpoly.surgery import (
     FACET_A,
@@ -318,6 +323,67 @@ def _loose_complex():
             3: cube.faces_by_dim[3],
         }
     )
+
+
+def _reference_validate(cx):
+    """The earlier ``CubicalComplex.validate``, which intersected every pair
+    of faces; returns its error message, or None when it accepts."""
+    for k, faces in cx.faces_by_dim.items():
+        for f in faces:
+            if len(f) != 2 ** k:
+                return f"{k}-face with {len(f)} vertices"
+    for k in sorted(cx.faces_by_dim):
+        if k == 0:
+            continue
+        below = cx.faces_by_dim.get(k - 1, frozenset())
+        for f in cx.faces_by_dim[k]:
+            cnt = sum(1 for g in below if g < f)
+            if cnt != 2 * k:
+                return f"{k}-face with {cnt} codimension-1 subfaces"
+    all_faces = [f for faces in cx.faces_by_dim.values() for f in faces]
+    face_set = set(all_faces)
+    for a, b in combinations(all_faces, 2):
+        c = a & b
+        if c and c not in face_set:
+            return "face family not closed under intersection"
+    return None
+
+
+def _squares_sharing_a_diagonal():
+    """Squares 0-1-3-2 and 0-4-3-5: they share the vertices 0 and 3 but no
+    edge, so the two facets meet in a set that is not a face."""
+    squares = [(0, 1, 3, 2), (0, 4, 3, 5)]
+    return CubicalComplex(
+        {
+            0: {frozenset({v}) for v in range(6)},
+            1: {frozenset({q[i], q[i - 1]}) for q in squares for i in range(4)},
+            2: {frozenset(q) for q in squares},
+        }
+    )
+
+
+def test_validate_matches_all_pairs_reference():
+    psi = build_psi()
+    cut = sorted(psi.faces_by_dim[3], key=sorted)[0]
+    psi_cut = CubicalComplex({**psi.faces_by_dim, 3: psi.faces_by_dim[3] - {cut}})
+    for cx in (psi, boundary_complex(), build_phi(), psi_cut):
+        cx.validate()
+        assert _reference_validate(cx) is None
+
+
+def test_validate_refuses_facets_meeting_outside_a_face():
+    cx = _squares_sharing_a_diagonal()
+    assert _reference_validate(cx) == "face family not closed under intersection"
+    with pytest.raises(ConstructionError, match="not closed under intersection"):
+        cx.validate()
+
+
+def test_validate_refuses_a_face_in_no_facet():
+    # the all-pairs scan accepted the edges and vertices outside the cube
+    loose = _loose_complex()
+    assert _reference_validate(loose) is None
+    with pytest.raises(ConstructionError, match="face in no facet"):
+        loose.validate()
 
 
 def test_glued_cells_match_reference():

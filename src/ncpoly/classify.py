@@ -10,7 +10,7 @@ triples, exactly by the neighborly one.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 from . import signvec
@@ -105,23 +105,24 @@ def _check_triple(d, triple):
 
 def pklm_sphere(d, triple) -> CubicalComplex:
     """Boundary sphere of the ball: faces of the (d+1)-cube lying in a
-    facet of the ball and in a facet of its complement."""
+    facet of the ball and in a facet of its complement.  Faces are read by
+    zero set, then by the mask of their +1 coordinates."""
     k, l, m = _check_triple(d, triple)
-    ball = set(_ball_facets(d, k, l, m))
-    comp = [
-        (i, s)
-        for i in range(d + 1)
-        for s in (-1, 1)
-        if (i, s) not in ball
-    ]
-    faces_by_dim = {}
-    for sv in signvec.all_faces(d + 1, max_zeros=d - 1):
-        in_ball = any(sv[i] == s for i, s in ball)
-        in_comp = any(sv[i] == s for i, s in comp)
-        if in_ball and in_comp:
-            faces_by_dim.setdefault(signvec.face_dim(sv), set()).add(
-                signvec.vertex_set(sv)
-            )
+    ball = _ball_facets(d, k, l, m)
+    # the ball facets on each side, as bitmasks of positions
+    plus = sum(1 << i for i, s in ball if s > 0)
+    minus = sum(1 << i for i, s in ball if s < 0)
+    faces_by_dim = {dim: set() for dim in range(d)}
+    for dim in range(d):
+        for zeros in combinations(range(d + 1), dim):
+            # every mask over the zeroes and every mask over the fixed
+            # coordinates: the vertices of the two faces freeing just those
+            offsets = signvec.vertices_bits([0 if i in zeros else -1 for i in range(d + 1)])
+            bases = signvec.vertices_bits([-1 if i in zeros else 0 for i in range(d + 1)])
+            for base in bases:
+                neg = bases[-1] ^ base  # the fixed coordinates at -1
+                if (base & plus or neg & minus) and (base & ~plus or neg & ~minus):
+                    faces_by_dim[dim].add(frozenset([base | o for o in offsets]))
     return CubicalComplex(faces_by_dim)
 
 

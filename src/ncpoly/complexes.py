@@ -7,6 +7,7 @@ The connectivity of a complex (vertices joined by edges) and of a vertex
 link (cubes joined by quads) is one graph walk, ``_connected``.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -57,8 +58,9 @@ class CubicalComplex:
             if k == 0:
                 continue
             below = self.faces_by_dim.get(k - 1, frozenset())
+            inside = Counter(f for _, f in _inclusions(below, self.faces_by_dim[k]))
             for f in self.faces_by_dim[k]:
-                cnt = sum(1 for g in below if g < f)
+                cnt = inside[f]
                 if cnt != 2 * k:
                     raise ConstructionError(
                         f"{k}-face with {cnt} codimension-1 subfaces"
@@ -78,8 +80,8 @@ class CubicalComplex:
         """Every codimension-1 face in exactly two facets."""
         top = self.dim
         ridges = self.faces_by_dim.get(top - 1, frozenset())
-        facets = self.faces_by_dim[top]
-        return all(sum(1 for f in facets if r < f) == 2 for r in ridges)
+        holding = Counter(r for r, _ in _inclusions(ridges, self.faces_by_dim[top]))
+        return all(holding[r] == 2 for r in ridges)
 
     def is_connected(self):
         return _connected(self.vertex_ids, self.faces_by_dim.get(1, ()))
@@ -106,6 +108,21 @@ class CubicalComplex:
         return all(len(cs) == 2 for cs in cubes_at_quad) and _connected(
             cubes, cubes_at_quad
         )
+
+
+def _inclusions(small, big):
+    """The pairs (g, f) with g in ``small``, f in ``big`` and g < f.  A face
+    holding g holds any one vertex of g, so each g is tested only against
+    the faces of ``big`` at that vertex."""
+    at = {}
+    for f in big:
+        for v in f:
+            at.setdefault(v, []).append(f)
+    for g in small:
+        # the empty face lies in every face
+        for f in at.get(next(iter(g)), ()) if g else big:
+            if g < f:
+                yield g, f
 
 
 def _connected(nodes, links):

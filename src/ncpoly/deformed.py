@@ -9,11 +9,12 @@ coordinates yields a cubical d-polytope whose low skeleton is that of the
 n-cube.  The certificate checks that every maximal minor of the deformation
 matrix keeps its eps=0 sign, over all sign choices that can occur.
 
-The deformation matrix is written once, in ``deformation_rows``, with
-integer entries.  Each caller builds the rows it needs in one call: the
-certificate its 2n signed rows and n eps = 0 rows, the positive-circuit test
-its n-d+1 rows; the cube's normals (``constraint_row``) are its rows over
-the rationals.
+The deformation matrix is written once, in column form, in
+``deformation_columns``, with integer entries.  The positive-circuit test
+takes its n-d+1 rows as columns, which is what its elimination reads;
+``deformation_rows`` is their transpose, from which the certificate takes
+its 2n signed rows and n eps = 0 rows in one call each, and the cube's
+normals (``constraint_row``) are those rows over the rationals.
 
 That the deformed cube is combinatorially the n-cube is read off the tight
 sets H->V returns, with no face lattice: ``_labeled_cube`` labels each vertex
@@ -37,26 +38,36 @@ from .polytope import (
 )
 
 
-def deformation_rows(n, d, signed_rows, epsilon):
-    """Rows of the n x (n-d) deformation matrix, as integers, one for each
-    (k, sigma) in ``signed_rows``: entry j < k is (-1)^k binom(k-2, j-1),
-    entry k is sigma*eps.  A row that carries the eps entry is scaled by
-    eps's denominator, which keeps the sign of every minor and of every
-    left-kernel entry."""
-    eps = Fraction(epsilon)
+def deformation_columns(n, d, signed_rows, epsilon):
+    """Columns of the n x (n-d) deformation matrix, as integers, restricted
+    to one row for each (k, sigma) in ``signed_rows``: row k has entry
+    (-1)^k binom(k-2, j-1) at j < k and sigma*eps at j = k.  A row that
+    carries the eps entry is scaled by eps's denominator, which keeps the
+    sign of every minor and of every left-kernel entry."""
+    eps = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
     p, q = eps.numerator, eps.denominator
     width = n - d
-    rows = []
+    cols = [[] for _ in range(width)]
     for k, sigma in signed_rows:
+        s = 1 if k % 2 == 0 else -1
         if k <= width:
             # binomial prefix, the eps entry, then the zero tail
-            s = q if k % 2 == 0 else -q
-            prefix = [s * comb(k - 2, j) for j in range(k - 1)]
-            rows.append((*prefix, sigma * p, *[0] * (width - k)))
+            s *= q
+            for j in range(k - 1):
+                cols[j].append(s * comb(k - 2, j))
+            cols[k - 1].append(sigma * p)
+            for j in range(k, width):
+                cols[j].append(0)
         else:
-            s = 1 if k % 2 == 0 else -1
-            rows.append(tuple([s * comb(k - 2, j) for j in range(width)]))
-    return rows
+            for j in range(width):
+                cols[j].append(s * comb(k - 2, j))
+    return cols
+
+
+def deformation_rows(n, d, signed_rows, epsilon):
+    """The rows of ``deformation_columns``, as tuples (empty at n = d)."""
+    cols = deformation_columns(n, d, signed_rows, epsilon)
+    return list(zip(*cols)) if cols else [()] * len(signed_rows)
 
 
 def constraint_row(n, k, sigma, epsilon):

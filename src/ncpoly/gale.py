@@ -12,16 +12,19 @@ exactly when
           tail starts past p+1, is gap-even, and has free signs.
 
 The closed-form count and the positive-circuit test over the deformation
-matrix give two independent routes to the same facet set.
+matrix give two independent routes to the same facet set.  The circuit test
+builds the columns of the label's n-d+1 rows (``deformation_columns``) and
+reads the rows' left kernel as the columns' right kernel, from one
+``echelon``; nothing is kept from one label to the next.
 """
 
 from itertools import combinations, product
 from math import comb
 
 from . import signvec
-from .deformed import deformation_rows
+from .deformed import deformation_columns
 from .errors import FormulaError
-from .intops import left_kernel
+from .intops import echelon, echelon_kernel
 
 
 def gap_even(support) -> bool:
@@ -69,6 +72,22 @@ def to_sign_vector(alpha, n):
     return tuple(sv)
 
 
+def _positive_circuit(n, d, signed_rows, epsilon) -> bool:
+    """The circuit test on the deformation-matrix rows named by the
+    (k, sigma) pairs ``signed_rows``: rank n-d and a strictly one-signed
+    left-kernel vector.  The rows' left kernel is the right kernel of their
+    n-d columns, which ``echelon_kernel`` returns with its first nonzero
+    entry positive.  Raises ValueError unless the k are n-d+1 distinct
+    indices in 1..n."""
+    rows = [k for k, _ in signed_rows]
+    if len(rows) != n - d + 1:
+        raise ValueError("need exactly n-d+1 rows")
+    if (rows and not (0 < min(rows) and max(rows) <= n)) or len(set(rows)) != len(rows):
+        raise ValueError(f"row indices must be distinct and lie in 1..{n}")
+    red = echelon(deformation_columns(n, d, signed_rows, epsilon))
+    return len(red) == n - d and min(echelon_kernel(red, n - d + 1)) > 0
+
+
 def is_positive_circuit(n, d, sigma, rows, epsilon) -> bool:
     """True when the selected deformation-matrix rows have rank n-d and a
     strictly one-signed linear dependence.  ``sigma`` maps a row index to its
@@ -77,24 +96,17 @@ def is_positive_circuit(n, d, sigma, rows, epsilon) -> bool:
     Raises ValueError unless ``rows`` holds exactly n-d+1 distinct indices
     in 1..n.
     """
-    if len(rows) != n - d + 1:
-        raise ValueError("need exactly n-d+1 rows")
-    if (rows and not (0 < min(rows) and max(rows) <= n)) or len(set(rows)) != len(rows):
-        raise ValueError(f"row indices must be distinct and lie in 1..{n}")
-    if n == d:
-        return True
-    v = left_kernel(deformation_rows(n, d, [(k, sigma.get(k, 1)) for k in rows], epsilon))
-    return v is not None and min(v) > 0
+    return _positive_circuit(n, d, [(k, sigma.get(k, 1)) for k in rows], epsilon)
 
 
 def alpha_is_positive_circuit(n, d, alpha, epsilon) -> bool:
     """The positive-circuit test for the cube face named by the signed label
     alpha.  Raises ValueError unless alpha has n-d+1 elements, none of them
     outside +-(1..n), and is disjoint from -alpha."""
-    sigma = {abs(a): (1 if a > 0 else -1) for a in alpha}
-    # rows come from alpha, not sigma's keys, so a label holding both k and
-    # -k keeps k twice and is refused as a repeated row
-    return is_positive_circuit(n, d, sigma, sorted(map(abs, alpha)), epsilon)
+    # a label holding both k and -k names row k twice and is refused
+    return _positive_circuit(
+        n, d, [(abs(a), 1 if a > 0 else -1) for a in sorted(alpha, key=abs)], epsilon
+    )
 
 
 def f_formula(n, d) -> int:

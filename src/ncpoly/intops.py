@@ -3,8 +3,9 @@
 These are the kernels behind the eps certificate, the positive-circuit test
 and the hull.  Everything works on plain Python integers (arbitrary
 precision), with fraction-free eliminations (Bareiss 1968) so intermediate
-values stay integral.  Determinants come from ``bareiss_det``; rank, right
-kernels and left kernels all come from the one ``echelon`` routine.
+values stay integral.  Determinants come from ``bareiss_det``; rank and
+kernels come from the one ``echelon`` routine (a left kernel is the right
+kernel of the columns).
 Rational rows enter through ``int_row``.  The innermost loops (the content
 gcd, the back-substitution dot product) are single calls into C builtins,
 and a row is divided by its content once, only when that is above 1.
@@ -134,17 +135,3 @@ def echelon_kernel(red, width):
             g = gcd(*u) if x > 0 else -gcd(*u)
             return tuple([y // g for y in u])
     raise ArithmeticError("zero kernel vector")
-
-
-def left_kernel(rows):
-    """Left kernel of an (r+1) x r integer matrix of rank r.
-
-    Returns the primitive integer vector v with sum_i v[i]*rows[i] = 0,
-    normalized so its first nonzero entry is positive: the right kernel of
-    the transpose.  Returns None when the matrix has rank below r.
-    """
-    r = len(rows) - 1
-    if any(len(row) != r for row in rows):
-        raise ValueError("need one more row than columns")
-    red = echelon(list(zip(*rows)))
-    return echelon_kernel(red, r + 1) if len(red) == r else None

@@ -3,9 +3,11 @@ from itertools import product
 
 import pytest
 
+from ncpoly import signvec
 from ncpoly.classify import (
     CUBICAL_WITNESS_POINTS,
     NONCUBICAL_WITNESS_POINTS,
+    _ball_facets,
     delta,
     first_construction,
     neighborly_triples,
@@ -79,6 +81,30 @@ def test_pklm_formula_matches_direct_counting():
     for d in (3, 4, 5):
         for t in valid_triples(d):
             assert pklm_sphere(d, t).f_vector() == pklm_fvector(d, t)
+
+
+def _reference_pklm_faces(d, triples):
+    """The earlier ``pklm_sphere`` scan, for several triples at once: every
+    sign vector of the (d+1)-cube with at most d-1 zeroes is kept for a
+    triple when it lies in a ball facet and in a facet of the complement."""
+    sides = []
+    for t in triples:
+        ball = set(_ball_facets(d, *t))
+        comp = [(i, s) for i in range(d + 1) for s in (-1, 1) if (i, s) not in ball]
+        sides.append((ball, comp, {}))
+    for sv in signvec.all_faces(d + 1, max_zeros=d - 1):
+        verts = signvec.vertex_set(sv)
+        for ball, comp, faces_by_dim in sides:
+            if any(sv[i] == s for i, s in ball) and any(sv[i] == s for i, s in comp):
+                faces_by_dim.setdefault(signvec.face_dim(sv), set()).add(verts)
+    return [{k: frozenset(fs) for k, fs in faces.items()} for _, _, faces in sides]
+
+
+@pytest.mark.parametrize("d", range(4, 9))
+def test_pklm_sphere_matches_sign_vector_scan(d):
+    triples = valid_triples(d)
+    for t, want in zip(triples, _reference_pklm_faces(d, triples)):
+        assert pklm_sphere(d, t).faces_by_dim == want, t
 
 
 def test_pklm_symmetric_in_k_and_m():

@@ -12,6 +12,7 @@ from ncpoly.deformed import (
     choose_epsilon,
     constraint_row,
     cube_vertices_labeled,
+    deformation_columns,
     deformation_rows,
     project_last,
     projected_cube,
@@ -349,6 +350,40 @@ def test_integer_rows_are_the_cleared_rational_rows():
             for k, sigma in signed:
                 want = _fraction_amatrix_row(n, 0, k, sigma, eps)
                 assert constraint_row(n, k, sigma, eps) == want
+
+
+def test_rows_are_the_transposed_columns():
+    # every signed row of every (n, d) with n <= 9, down to width 0, at the
+    # golden eps of (n, d) and at eps off the certified ladder
+    for n in range(1, 10):
+        signed = [(k, sigma) for k in range(1, n + 1) for sigma in (-1, 1)]
+        for d in range(n + 1):
+            golden = [Fraction(1, 2 ** EPS_EXPONENT[n, d])] if d >= 2 else []
+            for eps in [0, 1, Fraction(1, 3), Fraction(3, 37), Fraction(2, 9), *golden]:
+                cols = deformation_columns(n, d, signed, eps)
+                rows = deformation_rows(n, d, signed, eps)
+                assert len(cols) == n - d and len(rows) == len(signed)
+                assert all(len(col) == len(signed) for col in cols)
+                assert rows == [tuple(col[i] for col in cols) for i in range(len(signed))]
+                for (k, sigma), row in zip(signed, rows):
+                    assert deformation_columns(n, d, [(k, sigma)], eps) == [[x] for x in row]
+
+
+def test_columns_take_a_fraction_eps_as_given(monkeypatch):
+    # an eps that is already a Fraction is read as it is, not converted again
+    built = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    eps = Fraction(1, 8)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    assert deformation_columns(5, 2, [(1, -1), (3, 1)], eps) == [[-1, -8], [0, -8], [0, 1]]
+    assert built == []
+    assert deformation_columns(5, 2, [(1, -1), (3, 1)], "1/8") == [[-1, -8], [0, -8], [0, 1]]
+    assert built == [("1/8",)]
 
 
 def _leibniz_det(rows):

@@ -14,7 +14,7 @@ from ncpoly.gale import (
     is_positive_circuit,
     to_sign_vector,
 )
-from ncpoly.intops import left_kernel
+from test_linalg import left_kernel
 
 
 def test_special_value_n_equals_d():
@@ -161,6 +161,25 @@ def test_positive_circuit_equivalence_small():
                     assert (alpha in facets) == alpha_is_positive_circuit(
                         n, d, alpha, eps
                     ), (n, d, alpha)
+
+
+@pytest.mark.parametrize(
+    "eps", [None, Fraction(1), Fraction(1, 3), Fraction(3, 37), Fraction(2, 9)], ids=str
+)
+def test_sigma_mapping_agrees_with_signed_label(eps):
+    # the mapping form, with its rows named in decreasing order and the
+    # plus signs left out of sigma, gives the label form's answer
+    for n in range(2, 8):
+        for d in range(2, n + 1):
+            e = choose_epsilon(n, d) if eps is None else eps
+            size = n - d + 1
+            for support in combinations(range(1, n + 1), size):
+                for signs in product((-1, 1), repeat=size):
+                    alpha = frozenset(s * k for s, k in zip(signs, support))
+                    sigma = {k: -1 for s, k in zip(signs, support) if s < 0}
+                    assert is_positive_circuit(n, d, sigma, support[::-1], e) == (
+                        alpha_is_positive_circuit(n, d, alpha, e)
+                    ), (n, d, alpha, e)
 
 
 def _rational_row(n, d, k, sigma, eps):

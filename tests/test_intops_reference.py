@@ -22,10 +22,10 @@ from ncpoly.intops import (
     echelon,
     echelon_kernel,
     int_rank,
-    left_kernel,
     vec_content,
 )
 from ncpoly.signvec import vertices_bits
+from test_linalg import left_kernel
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 

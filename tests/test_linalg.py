@@ -19,8 +19,18 @@ from ncpoly.intops import (
     echelon_kernel,
     int_rank,
     int_row,
-    left_kernel,
 )
+
+
+def left_kernel(rows):
+    """Left kernel of an (r+1) x r integer matrix of rank r: the right
+    kernel of its columns, by ``echelon`` and ``echelon_kernel``, as the
+    circuit test reads it.  Primitive, first nonzero entry positive; None
+    below rank r.  (The library's ``intops.left_kernel`` before the circuit
+    test built its columns directly.)"""
+    r = len(rows) - 1
+    red = echelon(list(zip(*rows)))
+    return echelon_kernel(red, r + 1) if len(red) == r else None
 
 
 def _matmul(a, b):

@@ -14,7 +14,7 @@ from ncpoly.errors import (
     SpanError,
     UnboundedPolytopeError,
 )
-from ncpoly.intops import int_rank, int_row, left_kernel, primitive
+from ncpoly.intops import int_rank, int_row, primitive
 from ncpoly.polytope import (
     HPolytope,
     IncidenceStructure,
@@ -30,6 +30,7 @@ from ncpoly.polytope import (
     vertices_and_tight_sets,
     vertices_from_hrep,
 )
+from test_linalg import left_kernel
 
 
 def unit_square():

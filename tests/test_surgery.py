@@ -371,6 +371,85 @@ def test_validate_matches_all_pairs_reference():
         assert _reference_validate(cx) is None
 
 
+def _reference_scan_validate(cx):
+    """``CubicalComplex.validate`` with its codimension-1 count done by the
+    earlier scan over every (k-face, (k-1)-face) pair; returns the error
+    message, or None when it accepts."""
+    by_dim = cx.faces_by_dim
+    for k, faces in by_dim.items():
+        for f in faces:
+            if len(f) != 2 ** k:
+                return f"{k}-face with {len(f)} vertices"
+    for k in sorted(by_dim):
+        if k == 0:
+            continue
+        below = by_dim.get(k - 1, frozenset())
+        for f in by_dim[k]:
+            cnt = sum(1 for g in below if g < f)
+            if cnt != 2 * k:
+                return f"{k}-face with {cnt} codimension-1 subfaces"
+    face_set = set(cx.all_faces())
+    facets = cx.facets()
+    if not all(any(f <= g for g in facets) for f in face_set):
+        return "face in no facet"
+    for a, b in combinations(facets, 2):
+        c = a & b
+        if c and c not in face_set:
+            return "face family not closed under intersection"
+    return None
+
+
+def _reference_is_pseudomanifold(cx):
+    """The earlier all-pairs ridge-in-facet scan."""
+    top = cx.dim
+    ridges = cx.faces_by_dim.get(top - 1, frozenset())
+    return all(sum(1 for f in cx.faces_by_dim[top] if r < f) == 2 for r in ridges)
+
+
+def _validate_message(cx):
+    try:
+        cx.validate()
+    except ConstructionError as exc:
+        return str(exc)
+    return None
+
+
+def _one_face_changed(cx):
+    """Copies of ``cx`` with its first face of some dimension dropped, and
+    with one extra face: a new vertex, or the union of two disjoint
+    (k-1)-faces that is not already a k-face."""
+    by_dim = cx.faces_by_dim
+    out = []
+    for k in sorted(by_dim):
+        first = min(by_dim[k], key=sorted)
+        out.append(CubicalComplex({**by_dim, k: by_dim[k] - {first}}))
+    out.append(CubicalComplex({**by_dim, 0: by_dim[0] | {frozenset({max(cx.vertex_ids) + 1})}}))
+    for k in range(1, cx.dim + 1):
+        below = sorted(by_dim[k - 1], key=sorted)
+        extra = next(
+            a | b for a, b in combinations(below, 2) if not a & b and a | b not in by_dim[k]
+        )
+        out.append(CubicalComplex({**by_dim, k: by_dim[k] | {extra}}))
+    return out
+
+
+def test_indexed_counts_match_all_pairs_scans():
+    from ncpoly.classify import neighborly_triples, pklm_sphere
+
+    spheres = [build_psi(), boundary_complex()]
+    spheres += [pklm_sphere(d, t) for d in (4, 5, 6) for t in neighborly_triples(d)]
+    outcomes = []
+    for sphere in spheres:
+        for cx in [sphere, *_one_face_changed(sphere)]:
+            want = _reference_scan_validate(cx), _reference_is_pseudomanifold(cx)
+            assert (_validate_message(cx), cx.is_pseudomanifold()) == want
+            outcomes.append(want)
+    # every sphere is accepted, and the changed copies are refused both ways
+    assert outcomes.count((None, True)) >= len(spheres)
+    assert any(msg and "codimension-1" in msg for msg, _ in outcomes)
+    assert any(msg is None for msg, ok in outcomes if not ok)
+
+
 def test_validate_refuses_facets_meeting_outside_a_face():
     cx = _squares_sharing_a_diagonal()
     assert _reference_validate(cx) == "face family not closed under intersection"

@@ -165,7 +165,7 @@ def cmd_surgery(args):
     out = {
         "f_vector": list(psi.f_vector()),
         "base_f_vector": list(base.f_vector()),
-        "facets": sorted(sorted(f) for f in psi.facets()),
+        "facets": sorted(sorted(signvec.members(f)) for f in psi.facets()),
         "sphere_checks": {
             "ridges_in_two_facets": report.ridges_in_two_facets,
             "connected": report.connected,

@@ -1,15 +1,17 @@
 """Abstract cubical cell complexes over integer vertex IDs.
 
-Faces are canonical vertex sets grouped by dimension; a k-face has 2^k
-vertices.  This is the shared representation for subcomplexes of cube
-boundaries and for the surgered sphere, where no coordinates exist.
-The connectivity of a complex (vertices joined by edges) and of a vertex
-link (cubes joined by quads) is one graph walk, ``_connected``.
+Faces are vertex bitmasks (bit v for vertex ID v) grouped by dimension,
+``{dim: frozenset of masks}``: the shape of ``polytope.face_masks``, so a
+polytope's face lattice is a complex as it stands.  A k-face has 2^k
+vertices.  The connectivity of a complex (vertices joined by edges) and of
+a vertex link (cubes joined by quads) is one graph walk, ``_connected``.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from . import signvec
 from .errors import ConstructionError
@@ -22,20 +24,16 @@ class CubicalComplex:
 
     def __post_init__(self):
         self.faces_by_dim = {
-            k: frozenset(frozenset(f) for f in faces)
-            for k, faces in self.faces_by_dim.items()
-            if faces
+            k: frozenset(faces) for k, faces in self.faces_by_dim.items() if faces
         }
-        self.vertex_ids = frozenset().union(*self.all_faces())
+        self.vertex_ids = signvec.members(reduce(or_, self.all_faces(), 0))
 
     @property
     def dim(self):
         return max(self.faces_by_dim)
 
     def f_vector(self):
-        return tuple(
-            len(self.faces_by_dim.get(k, ())) for k in range(self.dim + 1)
-        )
+        return tuple(len(self.faces_by_dim.get(k, ())) for k in range(self.dim + 1))
 
     def euler_characteristic(self):
         return sum((-1) ** k * f for k, f in enumerate(self.f_vector()))
@@ -51,8 +49,8 @@ class CubicalComplex:
         """Check the cubical-complex invariants; raise ConstructionError."""
         for k, faces in self.faces_by_dim.items():
             for f in faces:
-                if len(f) != 2 ** k:
-                    raise ConstructionError(f"{k}-face with {len(f)} vertices")
+                if f.bit_count() != 1 << k:
+                    raise ConstructionError(f"{k}-face with {f.bit_count()} vertices")
         # every k-face must contain exactly 2k faces of dimension k-1
         for k in sorted(self.faces_by_dim):
             if k == 0:
@@ -69,7 +67,7 @@ class CubicalComplex:
         # faces a of F and b of G meet inside the cube F & G, in a face of it
         face_set = set(self.all_faces())
         facets = self.facets()
-        if not all(any(f <= g for g in facets) for f in face_set):
+        if not all(any(f & g == f for g in facets) for f in face_set):
             raise ConstructionError("face in no facet")
         for a, b in combinations(facets, 2):
             c = a & b
@@ -84,7 +82,7 @@ class CubicalComplex:
         return all(holding[r] == 2 for r in ridges)
 
     def is_connected(self):
-        return _connected(self.vertex_ids, self.faces_by_dim.get(1, ()))
+        return _connected(self.vertex_ids, map(signvec.members, self.faces_by_dim.get(1, ())))
 
     def vertex_link_surface_check(self, v):
         """For a 3-dimensional complex: is the link of v a closed connected
@@ -95,33 +93,35 @@ class CubicalComplex:
         lies in exactly two link triangles.  Connected: the link triangles
         are joined across shared link edges.
         """
-        edges = [f for f in self.faces_by_dim.get(1, ()) if v in f]
-        quads = [f for f in self.faces_by_dim.get(2, ()) if v in f]
-        cubes = [f for f in self.faces_by_dim.get(3, ()) if v in f]
+        by_dim = self.faces_by_dim
+        edges, quads, cubes = ([f for f in by_dim.get(k, ()) if f >> v & 1] for k in (1, 2, 3))
         if len(edges) - len(quads) + len(cubes) != 2:
             return False
         # a link with no triangles is no surface, though the walk below
         # would call its empty graph connected
         if not cubes:
             return False
-        cubes_at_quad = [[c for c in cubes if q < c] for q in quads]
+        cubes_at_quad = [[c for c in cubes if q & c == q != c] for q in quads]
         return all(len(cs) == 2 for cs in cubes_at_quad) and _connected(
             cubes, cubes_at_quad
         )
 
 
 def _inclusions(small, big):
-    """The pairs (g, f) with g in ``small``, f in ``big`` and g < f.  A face
-    holding g holds any one vertex of g, so each g is tested only against
-    the faces of ``big`` at that vertex."""
+    """The pairs (g, f) with g in ``small``, f in ``big`` and g a proper
+    subset of f.  A face holding g holds g's lowest vertex, so each g is
+    tested only against the faces of ``big`` at that vertex."""
     at = {}
     for f in big:
-        for v in f:
-            at.setdefault(v, []).append(f)
+        rest = f
+        while rest:
+            low = rest & -rest
+            at.setdefault(low, []).append(f)
+            rest ^= low
     for g in small:
         # the empty face lies in every face
-        for f in at.get(next(iter(g)), ()) if g else big:
-            if g < f:
+        for f in at.get(g & -g, ()) if g else big:
+            if g & f == g != f:
                 yield g, f
 
 
@@ -143,16 +143,14 @@ def _connected(nodes, links):
     return len(seen) == len(touching)
 
 
-def from_cube_facets(n, facet_sign_vectors):
+def from_cube_facets(facet_sign_vectors):
     """Downward closure of cube faces given by sign vectors, as a complex
-    over vertex bitmask IDs."""
-    faces_by_dim = {}
-    seen = set()
+    over the cube's vertex IDs (``signvec.vertex_set``)."""
+    faces = set()
     for top in facet_sign_vectors:
-        k = signvec.face_dim(top)
-        for j in range(k + 1):
-            for sub in signvec.subfaces(top, j):
-                if sub not in seen:
-                    seen.add(sub)
-                    faces_by_dim.setdefault(j, set()).add(signvec.vertex_set(sub))
+        for j in range(signvec.face_dim(top) + 1):
+            faces.update(signvec.subfaces(top, j))
+    faces_by_dim = {}
+    for sv in faces:
+        faces_by_dim.setdefault(signvec.face_dim(sv), set()).add(signvec.vertex_set(sv))
     return CubicalComplex(faces_by_dim)

@@ -102,11 +102,6 @@ def echelon(rows):
     return red
 
 
-def int_rank(rows):
-    """Rank of a rectangular integer matrix."""
-    return len(echelon(rows))
-
-
 def echelon_kernel(red, width):
     """Right kernel vector of a rank-deficient-by-one echelon system.
 

@@ -11,12 +11,14 @@ Each ray's zero set is the incidence it carries: the points on a facet, or
 the inequalities tight at a vertex.  Nothing downstream recomputes it.  The
 face lattice and its grading come from the vertex-facet incidence alone
 (Kaibel & Pfetsch 2002), with no coordinate arithmetic.  Faces are stored
-as vertex bitmasks (``face_masks``); ``face_lattice`` is their frozenset
-view.
+as vertex bitmasks (``face_masks``), the face format of ``complexes``;
+``face_lattice`` is their frozenset view.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import or_
 
 from .errors import (
     DimensionError,
@@ -25,6 +27,7 @@ from .errors import (
     UnboundedPolytopeError,
 )
 from .intops import echelon, echelon_kernel, int_row, primitive
+from .signvec import members, vertex_tuple_from_bits
 
 
 class HPolytope:
@@ -116,16 +119,6 @@ def canonical_inequality(normal, rhs):
 # ---------------------------------------------------------------------------
 
 
-def _members(mask):
-    """The frozenset of bit positions set in ``mask``."""
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(members)
-
-
 def _extreme_rays(rows, width):
     """Extreme rays of the pointed cone {u : row . u >= 0 for every row}.
 
@@ -174,7 +167,7 @@ def _extreme_rays(rows, width):
         keep = [i for i, s in enumerate(vals) if s >= 0]
         rays = [rays[i] for i in keep] + new_rays
         zeros = [zeros[i] | (1 << k if vals[i] == 0 else 0) for i in keep] + new_zeros
-    return [(ray, _members(z)) for ray, z in zip(rays, zeros)]
+    return [(ray, members(z)) for ray, z in zip(rays, zeros)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +294,14 @@ def face_lattice(inc: IncidenceStructure):
     """Proper faces as canonical vertex sets grouped by dimension: the
     frozenset view of ``face_masks``, each level sorted, built per call."""
     return {
-        k: tuple(sorted((_members(m) for m in masks), key=sorted))
+        k: tuple(sorted((members(m) for m in masks), key=sorted))
         for k, masks in face_masks(inc).items()
     }
 
 
 def graph_of(inc: IncidenceStructure):
     """1-faces as sorted unordered vertex-index pairs."""
-    return sorted(tuple(sorted(_members(e))) for e in face_masks(inc).get(1, ()))
+    return sorted(tuple(sorted(members(e))) for e in face_masks(inc).get(1, ()))
 
 
 def f_vector(inc: IncidenceStructure):
@@ -331,10 +324,11 @@ def hypercube_graph_iso(edges, n):
     """Labeling of a graph by {-1,+1}^n realizing an isomorphism with the
     n-cube graph, or None.
 
-    Anchor an arbitrary vertex at the all-minus label, give its neighbors the
-    unit flips, then propagate: a vertex all of whose lower-level neighbors
-    are labeled gets the union of their bitmasks.  A final pass checks that
-    every edge is a single-coordinate flip, which makes the search exact.
+    The least vertex gets the all-minus label and its neighbors the unit
+    flips; each later breadth-first level gets the union of its neighbors'
+    bitmasks one level up.  A bijection onto the 2^n bitmasks under which
+    every edge flips one bit, on n 2^(n-1) distinct edges, maps the edges
+    one to one onto the cube's: it is an isomorphism.
     """
     verts = sorted({x for e in edges for x in e})
     if len(verts) != 2 ** n:
@@ -343,44 +337,18 @@ def hypercube_graph_iso(edges, n):
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    anchor = verts[0]
-    if len(adj[anchor]) != n:
-        return None
-    label = {anchor: 0}
-    level = {anchor: 0}
-    for i, w in enumerate(sorted(adj[anchor])):
-        label[w] = 1 << i
-        level[w] = 1
-    frontier = sorted(adj[anchor])
-    k = 1
+    frontier = sorted(adj[verts[0]])
+    label = {verts[0]: 0} | {w: 1 << i for i, w in enumerate(frontier)}
     while frontier:
-        nxt = set()
-        for w in frontier:
-            for x in adj[w]:
-                if x not in level:
-                    nxt.add(x)
-        k += 1
-        frontier = sorted(nxt)
+        up = set(frontier)
+        frontier = sorted({x for w in frontier for x in adj[w] if x not in label})
         for x in frontier:
-            preds = [label[w] for w in adj[x] if level.get(w) == k - 1]
-            if len(preds) < 2:
-                return None
-            m = 0
-            for p in preds:
-                m |= p
-            if bin(m).count("1") != k or m in label.values():
-                return None
-            label[x] = m
-            level[x] = k
-    if len(label) != 2 ** n:
+            label[x] = reduce(or_, (label[w] for w in adj[x] & up))
+    if set(label.values()) != set(range(2 ** n)):
         return None
     # a repeated edge, in either orientation, is one edge of the graph
     if len({frozenset(e) for e in edges}) != n * 2 ** (n - 1):
         return None
-    for a, b in edges:
-        x = label[a] ^ label[b]
-        if x == 0 or x & (x - 1):
-            return None
-    return {
-        v: tuple(1 if label[v] >> i & 1 else -1 for i in range(n)) for v in verts
-    }
+    if any((label[a] ^ label[b]).bit_count() != 1 for a, b in edges):
+        return None
+    return {v: vertex_tuple_from_bits(label[v], n) for v in verts}

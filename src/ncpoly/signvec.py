@@ -2,7 +2,9 @@
 
 A face of the n-cube is a vector in {+1, -1, 0}^n; zero positions are the
 free coordinates, so a face with k zeroes is a k-face.  Vertices are encoded
-as bitmasks: bit i set means coordinate i equals +1.
+as bitmasks: bit i set means coordinate i equals +1.  A face's vertex set
+is itself a bitmask over those vertex IDs (``vertex_set``), the face format
+of ``complexes``; ``members`` lists the IDs in such a mask.
 """
 
 from itertools import combinations, product
@@ -71,7 +73,18 @@ def vertices_bits(sv):
 
 
 def vertex_set(sv):
-    return frozenset(vertices_bits(sv))
+    """The face's vertices as one mask: bit v set for each vertex ID v."""
+    return sum(1 << v for v in vertices_bits(sv))
+
+
+def members(mask):
+    """The frozenset of bit positions set in ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 def vertex_tuple_from_bits(bits, n):

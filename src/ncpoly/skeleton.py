@@ -7,8 +7,10 @@ appear.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import comb
+from operator import or_
 
 from . import signvec
 from .complexes import CubicalComplex
@@ -19,7 +21,7 @@ from .deformed import (
     project_last,
 )
 from .errors import ConstructionError
-from .polytope import IncidenceStructure, _members, face_masks, facets_from_vrep
+from .polytope import IncidenceStructure, face_masks, facets_from_vrep
 
 
 def cube_skeleton(n, r):
@@ -119,7 +121,7 @@ def upper_face_subdivision(n, d):
     if not cells:
         raise ConstructionError("no upper facets found")
 
-    if set().union(*map(_members, cells)) != set(range(len(lower.points))):
+    if reduce(or_, cells) != (1 << len(lower.points)) - 1:
         raise ConstructionError("cells do not cover every vertex")
 
     lower_facets = [sum(1 << i for i in f) for f in inc_lower.incidence]
@@ -149,4 +151,4 @@ def upper_face_subdivision(n, d):
                 raise ConstructionError(f"interior {k}-face in the subdivision")
 
     faces_by_dim[d] = cells
-    return CubicalComplex({k: {_members(f) for f in fs} for k, fs in faces_by_dim.items()})
+    return CubicalComplex(faces_by_dim)

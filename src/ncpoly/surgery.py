@@ -7,11 +7,15 @@ and C, four side cubes wrapping around it, four new edges and eight new
 quadrilaterals, no new vertices.  The result is a cubical 3-sphere with
 more facets than the polytope it came from.
 The glued cells and the intersection lemma are built from the cube-face
-operations of ``signvec`` (``meet``, ``vertex_set``, ``is_subface``).
+operations of ``signvec`` (``meet``, ``vertex_set``, ``is_subface``); every
+face is a vertex bitmask over the cube's vertex IDs, so a union of faces is
+an OR of masks.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from . import signvec
 from .complexes import CubicalComplex, from_cube_facets
@@ -32,7 +36,7 @@ def boundary_facets():
 
 
 def boundary_complex() -> CubicalComplex:
-    return from_cube_facets(N, boundary_facets())
+    return from_cube_facets(boundary_facets())
 
 
 def _quad_between():
@@ -49,7 +53,7 @@ def build_phi() -> CubicalComplex:
     for f in (FACET_A, FACET_B, FACET_C):
         if f not in facets:
             raise ConstructionError("chain facet missing from the facet list")
-    return from_cube_facets(N, [FACET_A, FACET_B, FACET_C])
+    return from_cube_facets([FACET_A, FACET_B, FACET_C])
 
 
 def phi_boundary_faces():
@@ -63,7 +67,7 @@ def phi_boundary_faces():
 
 
 def phi_boundary_complex() -> CubicalComplex:
-    return from_cube_facets(N, phi_boundary_faces())
+    return from_cube_facets(phi_boundary_faces())
 
 
 def intersection_lemma_check() -> bool:
@@ -92,8 +96,7 @@ def intersection_lemma_check() -> bool:
             return False
 
     for x, y in ((a_minus_b, b_minus_a), (b_minus_c, c_minus_b), (a_minus_b, c_minus_b)):
-        xv = set(signvec.vertices_bits(x))
-        yv = set(signvec.vertices_bits(y))
+        xv, yv = signvec.vertex_set(x), signvec.vertex_set(y)
         for facet in others:
             fv = signvec.vertex_set(facet)
             if fv & xv and fv & yv:
@@ -115,12 +118,12 @@ def _opposite(facet, quad):
 
 
 def _glue_ball_cells():
-    """New cells of the surgery: 4 edges, 8 quads, 5 cubes (vertex bitmask
-    sets).  The central cube stretches from A-B down to C-B; a side cube for
-    each free coordinate value wraps between a central side quad and the
-    chain boundary.
+    """New cells of the surgery: 4 edges, 8 quads, 5 cubes (vertex masks).
+    The central cube stretches from A-B down to C-B; a side cube for each
+    free coordinate value wraps between a central side quad and the chain
+    boundary.
 
-    Every cell is the union of the vertex sets of some chain faces, with the
+    Every cell is the OR of the vertex masks of some chain faces, with the
     free coordinates p, q of A-B and C-B fixed where the cell says."""
     ab, bc = _quad_between()
     top = _opposite(FACET_A, ab)  # A - B
@@ -133,9 +136,7 @@ def _glue_ball_cells():
     def cell(faces, fixed):
         # every chain face is free at p and q, so the meet only fixes them
         fix = tuple(fixed.get(i, 0) for i in range(N))
-        return frozenset().union(
-            *(signvec.vertex_set(signvec.meet(f, fix)) for f in faces)
-        )
+        return reduce(or_, (signvec.vertex_set(signvec.meet(f, fix)) for f in faces))
 
     corners = [{p: sp, q: sq} for sp in (-1, 1) for sq in (-1, 1)]
     sides = [{pos: s} for pos in (p, q) for s in (-1, 1)]
@@ -149,7 +150,7 @@ def _glue_ball_cells():
     side_cubes = [cell((FACET_A, FACET_B, FACET_C), s) for s in sides]
 
     cubes = [central] + side_cubes
-    if any(len(cube) != 8 for cube in cubes):
+    if any(cube.bit_count() != 8 for cube in cubes):
         raise ConstructionError("glued cube does not have 8 vertices")
     return edges, side_quads + path_quads, cubes
 

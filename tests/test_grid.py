@@ -5,15 +5,26 @@ the eight n = 9 pairs behind the ``slow`` marker (``pytest -m slow``).
 For each pair the hull of the projected deformed cube must have exactly the
 facets of the signed-label criterion, share the cube's
 (floor(d/2)-1)-skeleton (and, for n > d, not its floor(d/2)-skeleton), be
-cubical, and satisfy the Dehn-Sommerville relations.
+cubical, and satisfy the Dehn-Sommerville relations.  Its face lattice, read
+as a cubical complex with no conversion, must be a cubical (d-1)-sphere by
+every test ``CubicalComplex`` has; so must the lattices of the oracle pairs,
+of ``first_construction(4)`` and of the cubical ambiguity witness, while the
+non-cubical witness is refused.
 """
 
 import pytest
 from test_acceptance import ORACLE_PAIRS
 
+from ncpoly.classify import (
+    CUBICAL_WITNESS_POINTS,
+    NONCUBICAL_WITNESS_POINTS,
+    first_construction,
+)
+from ncpoly.complexes import CubicalComplex
 from ncpoly.deformed import projected_cube, shadow_incidence
+from ncpoly.errors import ConstructionError
 from ncpoly.gale import facet_vertex_label_sets
-from ncpoly.polytope import f_vector, is_cubical
+from ncpoly.polytope import VPolytope, f_vector, face_masks, facets_from_vrep, is_cubical
 from ncpoly.skeleton import dehn_sommerville_check, verify_skeleton_equivalence
 
 GRID = [
@@ -34,3 +45,28 @@ def test_geometric_route_matches_combinatorial(n, d):
         assert not verify_skeleton_equivalence(inc, n, d // 2)
     assert is_cubical(inc)
     assert dehn_sommerville_check(f_vector(inc), d)
+    _assert_cubical_sphere(inc, d)
+
+
+def _assert_cubical_sphere(inc, d):
+    """The boundary complex of a cubical d-polytope: valid, a pseudomanifold,
+    connected, with the Euler characteristic of a (d-1)-sphere."""
+    cx = CubicalComplex(face_masks(inc))
+    cx.validate()
+    assert cx.is_pseudomanifold()
+    assert cx.is_connected()
+    assert cx.euler_characteristic() == 1 + (-1) ** (d - 1)
+
+
+@pytest.mark.parametrize("n,d", ORACLE_PAIRS)
+def test_oracle_pair_lattice_is_a_cubical_sphere(n, d):
+    _assert_cubical_sphere(shadow_incidence(projected_cube(n, d)), d)
+
+
+def test_construction_and_witness_lattices_are_cubical_spheres():
+    _, v = first_construction(4)
+    _assert_cubical_sphere(facets_from_vrep(v), 4)
+    _assert_cubical_sphere(facets_from_vrep(VPolytope(4, CUBICAL_WITNESS_POINTS)), 4)
+    noncubical = facets_from_vrep(VPolytope(4, NONCUBICAL_WITNESS_POINTS))
+    with pytest.raises(ConstructionError, match="3-face with 12 vertices"):
+        CubicalComplex(face_masks(noncubical)).validate()

@@ -17,7 +17,6 @@ from ncpoly.intops import (
     bareiss_det,
     echelon,
     echelon_kernel,
-    int_rank,
     int_row,
 )
 
@@ -115,11 +114,11 @@ def test_kernel_vector_width_zero():
 
 
 def test_rank_examples():
-    assert int_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert len(echelon([[0, 0, 0], [0, 0, 0]])) == 0
     eye4 = [[int(i == j) for j in range(4)] for i in range(4)]
-    assert int_rank(eye4) == 4
+    assert len(echelon(eye4)) == 4
     moment = [[1, t, t * t] for t in (1, 2, 3, 5, 8)]
-    assert int_rank(moment) == 3
+    assert len(echelon(moment)) == 3
 
 
 def test_determinant_multiplicative_property():
@@ -180,7 +179,7 @@ def test_rank_equals_cols_minus_nullity():
         r = rng.randint(1, 4)
         c = rng.randint(1, 4)
         m = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
-        assert int_rank(m) == c - _nullity_by_rref(m, c)
+        assert len(echelon(m)) == c - _nullity_by_rref(m, c)
 
 
 def test_int_row_keeps_minor_and_kernel_signs():

@@ -221,12 +221,13 @@ def _per_cell_hull_faces(n, d):
         for facet, (normal, _) in zip(inc_upper.incidence, inc_upper.inequalities)
         if normal[0] > 0
     ]
-    faces_by_dim = {d: set(cells)}
+    # faces as masks over the shadow's vertex indices
+    faces_by_dim = {d: {sum(1 << i for i in cell) for cell in cells}}
     for cell in cells:
         idx = sorted(cell)
         lattice = face_lattice(facets_from_vrep(VPolytope(d, [lower.points[i] for i in idx])))
         for k, faces in lattice.items():
-            faces_by_dim.setdefault(k, set()).update(frozenset(idx[i] for i in f) for f in faces)
+            faces_by_dim.setdefault(k, set()).update(sum(1 << idx[i] for i in f) for f in faces)
     return CubicalComplex(faces_by_dim).faces_by_dim
 
 

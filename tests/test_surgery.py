@@ -27,8 +27,8 @@ def test_chain_meets():
     assert ab == signvec.parse("-+0++0")
     assert bc == signvec.parse("--0++0")
     assert signvec.meet(FACET_A, FACET_C) is None
-    assert len(signvec.vertex_set(ab)) == 4
-    assert len(signvec.vertex_set(bc)) == 4
+    assert signvec.vertex_set(ab).bit_count() == 4
+    assert signvec.vertex_set(bc).bit_count() == 4
 
 
 def test_phi_has_16_vertices():
@@ -45,7 +45,7 @@ def test_phi_boundary_is_a_2_sphere():
     assert bd.is_connected()
     quads = bd.faces_by_dim[2]
     for e in bd.faces_by_dim[1]:
-        assert sum(1 for q in quads if e < q) == 2
+        assert sum(1 for q in quads if e & q == e) == 2
     assert len(quads) == 14
 
 
@@ -119,6 +119,22 @@ def test_counter_example_property():
 # ---------------------------------------------------------------------------
 
 
+def _mask(vertex_ids):
+    """A face given by its vertex IDs, as the vertex bitmask complexes use."""
+    return sum(1 << v for v in vertex_ids)
+
+
+def _id_sets(cx):
+    """The faces of ``cx`` as frozensets of vertex IDs, by dimension: the
+    earlier face format the reference scans below were written for."""
+    return {k: {signvec.members(f) for f in fs} for k, fs in cx.faces_by_dim.items()}
+
+
+def _sorted_ids(face):
+    """The sorted vertex IDs of a face: the order the tests pick faces in."""
+    return sorted(signvec.members(face))
+
+
 def _reference_glue_ball_cells():
     """The glued cells built vertex by vertex from coordinate tuples."""
 
@@ -167,12 +183,15 @@ def _reference_glue_ball_cells():
             quad = {vert(top, sp, sq), vert(ab, sp, sq), vert(bc, sp, sq), vert(bottom, sp, sq)}
             path_quads.append(frozenset(quad))
 
-    phi_vertices = signvec.vertex_set(FACET_A) | signvec.vertex_set(FACET_B) | signvec.vertex_set(FACET_C)
+    phi_vertices = signvec.members(
+        signvec.vertex_set(FACET_A) | signvec.vertex_set(FACET_B) | signvec.vertex_set(FACET_C)
+    )
     side_cubes = [
         frozenset(b for b in phi_vertices if signvec.vertex_tuple_from_bits(b, surgery.N)[pos] == s)
         for pos, s, _ in side_quads
     ]
-    return edges, [fq for _, _, fq in side_quads] + path_quads, [central] + side_cubes
+    quads = [fq for _, _, fq in side_quads] + path_quads
+    return tuple(list(map(_mask, cells)) for cells in (edges, quads, [central] + side_cubes))
 
 
 def _reference_intersection_lemma_check():
@@ -222,7 +241,7 @@ def _reference_is_connected(cx):
     if not verts:
         return True
     adj = {v: set() for v in verts}
-    for e in cx.faces_by_dim.get(1, ()):
+    for e in _id_sets(cx).get(1, ()):
         a, b = sorted(e)
         adj[a].add(b)
         adj[b].add(a)
@@ -237,9 +256,10 @@ def _reference_is_connected(cx):
 
 
 def _reference_vertex_link_surface_check(cx, v):
-    edges = [f for f in cx.faces_by_dim.get(1, ()) if v in f]
-    quads = [f for f in cx.faces_by_dim.get(2, ()) if v in f]
-    cubes = [f for f in cx.faces_by_dim.get(3, ()) if v in f]
+    by_dim = _id_sets(cx)
+    edges = [f for f in by_dim.get(1, ()) if v in f]
+    quads = [f for f in by_dim.get(2, ()) if v in f]
+    cubes = [f for f in by_dim.get(3, ()) if v in f]
     if len(edges) - len(quads) + len(cubes) != 2:
         return False
     for q in quads:
@@ -300,7 +320,7 @@ def _cubical_cone(triangles):
     for t in triangles:
         for upper in subsets(sum(1 << x for x in t)):
             for lower in subsets(upper):
-                face = frozenset(lower | s for s in subsets(upper & ~lower))
+                face = _mask(lower | s for s in subsets(upper & ~lower))
                 faces_by_dim.setdefault(bin(upper & ~lower).count("1"), set()).add(face)
     return CubicalComplex(faces_by_dim)
 
@@ -314,11 +334,11 @@ def _octahedron(xp, xm, yp, ym, zp, zm):
 def _loose_complex():
     """A 3-cube with a path of two edges through a vertex (8) in no cube,
     and a vertex (9) in no edge: the link of 8 has Euler characteristic 2."""
-    cube = from_cube_facets(3, [(0, 0, 0)])
+    cube = from_cube_facets([(0, 0, 0)])
     return CubicalComplex(
         {
-            0: set(cube.faces_by_dim[0]) | {frozenset({8}), frozenset({9})},
-            1: set(cube.faces_by_dim[1]) | {frozenset({8, 0}), frozenset({8, 1})},
+            0: set(cube.faces_by_dim[0]) | {_mask({8}), _mask({9})},
+            1: set(cube.faces_by_dim[1]) | {_mask({8, 0}), _mask({8, 1})},
             2: cube.faces_by_dim[2],
             3: cube.faces_by_dim[3],
         }
@@ -328,19 +348,20 @@ def _loose_complex():
 def _reference_validate(cx):
     """The earlier ``CubicalComplex.validate``, which intersected every pair
     of faces; returns its error message, or None when it accepts."""
-    for k, faces in cx.faces_by_dim.items():
+    by_dim = _id_sets(cx)
+    for k, faces in by_dim.items():
         for f in faces:
             if len(f) != 2 ** k:
                 return f"{k}-face with {len(f)} vertices"
-    for k in sorted(cx.faces_by_dim):
+    for k in sorted(by_dim):
         if k == 0:
             continue
-        below = cx.faces_by_dim.get(k - 1, frozenset())
-        for f in cx.faces_by_dim[k]:
+        below = by_dim.get(k - 1, frozenset())
+        for f in by_dim[k]:
             cnt = sum(1 for g in below if g < f)
             if cnt != 2 * k:
                 return f"{k}-face with {cnt} codimension-1 subfaces"
-    all_faces = [f for faces in cx.faces_by_dim.values() for f in faces]
+    all_faces = [f for faces in by_dim.values() for f in faces]
     face_set = set(all_faces)
     for a, b in combinations(all_faces, 2):
         c = a & b
@@ -355,16 +376,16 @@ def _squares_sharing_a_diagonal():
     squares = [(0, 1, 3, 2), (0, 4, 3, 5)]
     return CubicalComplex(
         {
-            0: {frozenset({v}) for v in range(6)},
-            1: {frozenset({q[i], q[i - 1]}) for q in squares for i in range(4)},
-            2: {frozenset(q) for q in squares},
+            0: {_mask({v}) for v in range(6)},
+            1: {_mask({q[i], q[i - 1]}) for q in squares for i in range(4)},
+            2: {_mask(q) for q in squares},
         }
     )
 
 
 def test_validate_matches_all_pairs_reference():
     psi = build_psi()
-    cut = sorted(psi.faces_by_dim[3], key=sorted)[0]
+    cut = min(psi.faces_by_dim[3], key=_sorted_ids)
     psi_cut = CubicalComplex({**psi.faces_by_dim, 3: psi.faces_by_dim[3] - {cut}})
     for cx in (psi, boundary_complex(), build_phi(), psi_cut):
         cx.validate()
@@ -375,7 +396,7 @@ def _reference_scan_validate(cx):
     """``CubicalComplex.validate`` with its codimension-1 count done by the
     earlier scan over every (k-face, (k-1)-face) pair; returns the error
     message, or None when it accepts."""
-    by_dim = cx.faces_by_dim
+    by_dim = _id_sets(cx)
     for k, faces in by_dim.items():
         for f in faces:
             if len(f) != 2 ** k:
@@ -388,8 +409,8 @@ def _reference_scan_validate(cx):
             cnt = sum(1 for g in below if g < f)
             if cnt != 2 * k:
                 return f"{k}-face with {cnt} codimension-1 subfaces"
-    face_set = set(cx.all_faces())
-    facets = cx.facets()
+    face_set = {f for faces in by_dim.values() for f in faces}
+    facets = by_dim[max(by_dim)]
     if not all(any(f <= g for g in facets) for f in face_set):
         return "face in no facet"
     for a, b in combinations(facets, 2):
@@ -401,9 +422,10 @@ def _reference_scan_validate(cx):
 
 def _reference_is_pseudomanifold(cx):
     """The earlier all-pairs ridge-in-facet scan."""
+    by_dim = _id_sets(cx)
     top = cx.dim
-    ridges = cx.faces_by_dim.get(top - 1, frozenset())
-    return all(sum(1 for f in cx.faces_by_dim[top] if r < f) == 2 for r in ridges)
+    ridges = by_dim.get(top - 1, frozenset())
+    return all(sum(1 for f in by_dim[top] if r < f) == 2 for r in ridges)
 
 
 def _validate_message(cx):
@@ -421,11 +443,10 @@ def _one_face_changed(cx):
     by_dim = cx.faces_by_dim
     out = []
     for k in sorted(by_dim):
-        first = min(by_dim[k], key=sorted)
-        out.append(CubicalComplex({**by_dim, k: by_dim[k] - {first}}))
-    out.append(CubicalComplex({**by_dim, 0: by_dim[0] | {frozenset({max(cx.vertex_ids) + 1})}}))
+        out.append(CubicalComplex({**by_dim, k: by_dim[k] - {min(by_dim[k], key=_sorted_ids)}}))
+    out.append(CubicalComplex({**by_dim, 0: by_dim[0] | {_mask({max(cx.vertex_ids) + 1})}}))
     for k in range(1, cx.dim + 1):
-        below = sorted(by_dim[k - 1], key=sorted)
+        below = sorted(by_dim[k - 1], key=_sorted_ids)
         extra = next(
             a | b for a, b in combinations(below, 2) if not a & b and a | b not in by_dim[k]
         )
@@ -496,7 +517,7 @@ def test_lemma_refuses_a_facet_through_an_inner_quad(monkeypatch):
 
 def test_sphere_checks_match_reference():
     psi = build_psi()
-    cut = sorted(psi.faces_by_dim[3], key=sorted)[0]
+    cut = min(psi.faces_by_dim[3], key=_sorted_ids)
     psi_cut = CubicalComplex({**psi.faces_by_dim, 3: psi.faces_by_dim[3] - {cut}})
     assert not verify_sphere_like(psi_cut).ok
     for cx in (psi, boundary_complex(), build_phi(), psi_cut, _loose_complex()):

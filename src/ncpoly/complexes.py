@@ -94,17 +94,26 @@ class CubicalComplex:
         are joined across shared link edges.
         """
         by_dim = self.faces_by_dim
-        edges, quads, cubes = ([f for f in by_dim.get(k, ()) if f >> v & 1] for k in (1, 2, 3))
-        if len(edges) - len(quads) + len(cubes) != 2:
-            return False
-        # a link with no triangles is no surface, though the walk below
-        # would call its empty graph connected
-        if not cubes:
-            return False
-        cubes_at_quad = [[c for c in cubes if q & c == q != c] for q in quads]
-        return all(len(cs) == 2 for cs in cubes_at_quad) and _connected(
-            cubes, cubes_at_quad
-        )
+        return _link_is_surface(*([f for f in by_dim.get(k, ()) if f >> v & 1] for k in (1, 2, 3)))
+
+    def vertex_links_are_surfaces(self):
+        """``vertex_link_surface_check`` at every vertex, faces grouped in one pass."""
+        at = {v: ([], [], []) for v in self.vertex_ids}
+        for k in (1, 2, 3):
+            for f in self.faces_by_dim.get(k, ()):
+                for v in signvec.members(f):
+                    at[v][k - 1].append(f)
+        return all(_link_is_surface(*faces) for faces in at.values())
+
+
+def _link_is_surface(edges, quads, cubes):
+    """``vertex_link_surface_check`` on the edges, quads and cubes at v."""
+    # a link with no triangles is no surface, though the walk below would
+    # call its empty graph connected
+    if len(edges) - len(quads) + len(cubes) != 2 or not cubes:
+        return False
+    cubes_at_quad = [[c for c in cubes if q & c == q != c] for q in quads]
+    return all(len(cs) == 2 for cs in cubes_at_quad) and _connected(cubes, cubes_at_quad)
 
 
 def _inclusions(small, big):

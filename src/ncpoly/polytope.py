@@ -68,7 +68,7 @@ class VPolytope:
 
     def __init__(self, dim, points, labels=None):
         self.dim = dim
-        pts = tuple(tuple(Fraction(x) for x in p) for p in points)
+        pts = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in p) for p in points)
         if any(len(p) != dim for p in pts):
             raise DimensionError("point length differs from dimension")
         if len(set(pts)) != len(pts):
@@ -177,7 +177,9 @@ def _extreme_rays(rows, width):
 
 def vertices_and_tight_sets(h: HPolytope):
     """All vertices of a bounded H-polytope, sorted, each paired with the
-    frozenset of indices of the inequalities tight at it.
+    frozenset of indices of the inequalities tight at it.  The sort key is
+    y * (L // t), L the lcm of the vertices' t: the points over one
+    denominator, so no Fractions are compared.
 
     The extreme rays (y, t) of the homogenized cone
     {(y, t) : normal . y <= rhs * t, t >= 0} are the vertices y / t when
@@ -201,16 +203,14 @@ def vertices_and_tight_sets(h: HPolytope):
         if any(ray[-1] for ray, _ in _extreme_rays(sub, len(basis) + 1)):
             raise UnboundedPolytopeError("normals do not span; feasible set has a line")
         raise EmptyPolytopeError("inconsistent inequality system")
-    verts = sorted(
-        (tuple(Fraction(x, ray[d]) for x in ray[:d]), tight)
-        for ray, tight in rays
-        if ray[d]
-    )
-    if not verts:
+    finite = [(ray, tight) for ray, tight in rays if ray[d]]
+    if not finite:
         raise EmptyPolytopeError("no basic feasible point")
-    if len(verts) < len(rays):
+    if len(finite) < len(rays):
         raise UnboundedPolytopeError("recession cone has an extreme ray")
-    return verts
+    den = lcm(*(ray[d] for ray, _ in finite))
+    finite.sort(key=lambda e: [x * (den // e[0][d]) for x in e[0][:d]])
+    return [(tuple(Fraction(x, ray[d]) for x in ray[:d]), tight) for ray, tight in finite]
 
 
 def vertices_from_hrep(h: HPolytope) -> VPolytope:
@@ -233,7 +233,7 @@ def facets_from_vrep(v: VPolytope) -> IncidenceStructure:
     d = v.dim
     # one common scale clears every denominator and keeps the hull
     mult = lcm(*(x.denominator for p in v.points for x in p))
-    hom = [tuple(int(x * mult) for x in p) + (1,) for p in v.points]
+    hom = [tuple(x.numerator * (mult // x.denominator) for x in p) + (1,) for p in v.points]
     rays = _extreme_rays(hom, d + 1)
     if rays is None:
         raise SpanError("points do not affinely span the ambient space")
@@ -264,7 +264,9 @@ def face_masks(inc: IncidenceStructure):
     Pfetsch, "Computing the face lattice of a polytope from its
     vertex-facet incidences", 2002): the facets sit at depth 0, and the
     faces one dimension below a face F are the maximal proper nonempty
-    intersections of F with the facets.  A polytope's face lattice is
+    intersections of F with the facets (all of them, with no scan, when
+    they have one size, as on cubical and simplicial polytopes: two
+    distinct sets of one size never nest).  A polytope's face lattice is
     graded, so every face is reached at one depth only, and its dimension
     is the depth of the vertices minus its own.  The keys run from 0 to d-1
     with no gap.
@@ -277,11 +279,13 @@ def face_masks(inc: IncidenceStructure):
             for f in levels[-1]:
                 # larger cuts first, so a cut is maximal when no kept one holds it
                 cuts = sorted({f & g for g in facets} - {0, f}, key=int.bit_count, reverse=True)
-                kept = []
-                for cut in cuts:
-                    if all(cut & k != cut for k in kept):
-                        kept.append(cut)
-                below.update(kept)
+                if cuts and cuts[-1].bit_count() < cuts[0].bit_count():
+                    kept = []
+                    for cut in cuts:
+                        if all(cut & k != cut for k in kept):
+                            kept.append(cut)
+                    cuts = kept
+                below.update(cuts)
             if not below:
                 break
             levels.append(frozenset(below))

@@ -1,9 +1,8 @@
 """Skeleton comparison, f-vector identities, and the upper-face subdivision.
 
 Skeleton equivalence is checked through the explicit vertex labeling carried
-over from the projection, not by isomorphism search: every low cube face
-must map to a face of the target of the same dimension, and nothing else may
-appear.
+over from the projection, not by isomorphism search: the target must have as
+many low faces as the cube, each the vertex set of a cube face of its dimension.
 """
 
 from fractions import Fraction
@@ -38,6 +37,12 @@ def verify_skeleton_equivalence(inc: IncidenceStructure, n, r) -> bool:
     of the structure of the same dimension, and (b) the structure has no
     further faces of dimension <= r.  Vertex i is the cube vertex labels[i];
     labels that are not exactly the tuples of {-1, +1}^n give False.
+
+    Read off the lattice: with k-face counts equal to the cube's, every
+    k-face must have 2^k vertices whose labels vary on exactly k
+    coordinates, so that they are the vertices of the cube k-face those
+    span.  Distinct faces give distinct cube faces, so the equal counts
+    give (a) and (b).
     """
     if r < 0:
         raise ValueError("need r >= 0")
@@ -51,17 +56,14 @@ def verify_skeleton_equivalence(inc: IncidenceStructure, n, r) -> bool:
     masks = face_masks(inc)
     if any(len(masks.get(k, ())) != signvec.cube_face_count(n, k) for k in range(r + 1)):
         return False
-    # cube vertex (bitmask over its +1 coordinates) -> its vertex's mask
-    vertex_mask = {
-        sum(1 << j for j, s in enumerate(lab) if s == 1): 1 << i
-        for i, lab in enumerate(inc.labels)
-    }
-    for sv in signvec.all_faces(n, max_zeros=r):
-        # the vertices are distinct bits, so their sum is their union
-        want = sum(vertex_mask[b] for b in signvec.vertices_bits(sv))
-        if want not in masks[signvec.face_dim(sv)]:
-            return False
-    return True
+    # plus[j] holds the vertices labeled +1 at j; f varies at j when it meets it and its complement
+    plus = [sum(1 << i for i, lab in enumerate(inc.labels) if lab[j] == 1) for j in range(n)]
+    return all(
+        f.bit_count() == 1 << k and not f >> inc.vertex_count
+        and sum(0 != f & p != f for p in plus) == k
+        for k in range(r + 1)
+        for f in masks.get(k, ())
+    )
 
 
 def dehn_sommerville_check(fvec, d) -> bool:

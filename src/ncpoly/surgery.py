@@ -201,7 +201,7 @@ def verify_sphere_like(cx: CubicalComplex) -> SphereReport:
     ridges = cx.is_pseudomanifold()
     connected = cx.is_connected()
     euler = cx.euler_characteristic() == 0
-    links = all(cx.vertex_link_surface_check(v) for v in sorted(cx.vertex_ids))
+    links = cx.vertex_links_are_surfaces()
     return SphereReport(ridges, connected, euler, links)
 
 

@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 
 from ncpoly import classify
-from ncpoly.deformed import projected_cube
+from ncpoly.deformed import build_deformed_cube, projected_cube
 from ncpoly.errors import (
     EmptyPolytopeError,
     NcpolyError,
@@ -401,6 +401,23 @@ def test_tight_sets_match_fraction_evaluation():
             }
 
 
+def test_vertices_come_in_fraction_tuple_order():
+    # the integer sort key orders the vertices as comparing their Fraction
+    # tuples does, on deformed cubes too; at eps = 3/37 one coordinate has
+    # different denominators at different vertices
+    cubes = {
+        (n, eps): build_deformed_cube(n, eps)
+        for n in range(3, 7)
+        for eps in (Fraction(1, 3), Fraction(3, 37), Fraction(2, 9))
+    }
+    for h in [*_random_box_cuts(), *cubes.values()]:
+        verts = vertices_and_tight_sets(h)
+        assert verts == sorted(verts, key=lambda e: e[0])
+    for (n, eps), h in cubes.items():
+        dens = {tuple(x.denominator for x in p) for p, _ in vertices_and_tight_sets(h)}
+        assert (len(dens) > 1) is (eps == Fraction(3, 37)), (n, eps)
+
+
 def _fm_feasible(rows, d):
     """Reference feasibility of normal . x <= rhs, given as integer rows
     (normal..., rhs): Fourier-Motzkin elimination of one column at a time,
@@ -494,18 +511,34 @@ def _intersection_closure(incidence):
     return faces
 
 
+def _cut_sizes(inc, face):
+    """The sizes of ``face``'s proper nonempty intersections with the facets."""
+    facets = [sum(1 << i for i in f) for f in inc.incidence]
+    return {c.bit_count() for c in {face & g for g in facets} - {0, face}}
+
+
 def test_graded_dimension_is_affine_rank():
-    # on point sets with non-vertex boundary points: the lattice graded from
-    # incidence alone holds every nonempty intersection of facets, each at
-    # the affine rank of its points
+    # the lattice graded from incidence alone holds every nonempty
+    # intersection of facets, each at the affine rank of its points: on
+    # point sets with non-vertex boundary points, and on the square pyramid
+    # and the non-cubical witness, where some face's cuts come in two sizes
+    # (a triangle of the pyramid meets the opposite one in the apex alone)
+    pyramid = VPolytope(3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
+    witness = VPolytope(4, classify.NONCUBICAL_WITNESS_POINTS)
+    mixed = [(v, facets_from_vrep(v)) for v in (pyramid, witness)]
+    for _, inc in mixed:
+        faces = [f for masks in face_masks(inc).values() for f in masks]
+        assert any(len(_cut_sizes(inc, f)) > 1 for f in faces)
+    assert f_vector(mixed[0][1]) == (5, 8, 5)
     rng = random.Random(20261018)
-    checked = 0
-    while checked < 40:
-        v = _random_point_set(rng, 2 + checked % 3)
+    drawn = []
+    while len(drawn) < 40:
+        v = _random_point_set(rng, 2 + len(drawn) % 3)
         try:
-            inc = facets_from_vrep(v)
+            drawn.append((v, facets_from_vrep(v)))
         except SpanError:
             continue
+    for v, inc in mixed + drawn:
         mult = lcm(*(x.denominator for p in v.points for x in p))
         ipts = [tuple(int(x * mult) for x in p) for p in v.points]
         lattice = face_lattice(inc)
@@ -516,7 +549,6 @@ def test_graded_dimension_is_affine_rank():
             for f in fs:
                 base, *rest = (ipts[i] for i in sorted(f))
                 assert len(echelon([[a - b for a, b in zip(p, base)] for p in rest])) == k
-        checked += 1
 
 
 def test_coordinate_free_lattice_is_the_same():

@@ -130,7 +130,11 @@ def _skeleton_mutants(inc):
     ]
 
 
-@pytest.mark.parametrize("n,d", [(n, d) for n in range(4, 9) for d in range(2, n + 1)])
+@pytest.mark.parametrize(
+    "n,d",
+    [(n, d) for n in range(4, 9) for d in range(2, n + 1)]
+    + [pytest.param(9, d, marks=pytest.mark.slow) for d in range(2, 10)],
+)
 def test_skeleton_check_matches_frozenset_reference(constructed, n, d):
     _, inc = constructed(n, d)
     masks = face_masks(inc)
@@ -149,6 +153,53 @@ def test_skeleton_check_matches_frozenset_reference(constructed, n, d):
             assert verify_skeleton_equivalence(mutant, n, k) is want, (k, mutant.facet_count)
     assert verify_skeleton_equivalence(swapped, n, r + 1) is False
     assert verify_skeleton_equivalence(off, n, r) is False
+
+
+def _with_lattice(inc, lattice):
+    """``inc`` with ``lattice`` stored as its face lattice: the faces every
+    check reads through ``face_masks``."""
+    out = IncidenceStructure(inc.vertex_count, inc.incidence, labels=inc.labels)
+    out._lattice = lattice
+    return out
+
+
+def test_skeleton_check_needs_both_face_conditions():
+    # each mutant has the cube's labels and its k-face counts up to r, and
+    # every face but one is a cube face: only the condition named fails
+    inc = facets_from_vrep(_labeled_cube(3))
+    masks = face_masks(inc)
+    assert all(verify_skeleton_equivalence(inc, 3, r) for r in range(3))
+    square = min(masks[2])
+    edge = min(masks[1])
+    diagonal = square & -square | 1 << square.bit_length() - 1
+    assert diagonal not in masks[1]
+    three = square & square - 1
+    mutants = {
+        # three vertices of a square span its two coordinates
+        "2^k vertices": (_with_lattice(inc, {**masks, 2: masks[2] - {square} | {three}}), 2),
+        # a square's diagonal spans two coordinates, not one
+        "k-coordinate span": (_with_lattice(inc, {**masks, 1: masks[1] - {edge} | {diagonal}}), 1),
+        # the square's four sides with two of them crossed over as diagonals
+        "k-coordinate span, from incidence": (
+            IncidenceStructure(
+                4, [{0, 1}, {1, 2}, {2, 3}, {3, 0}], labels=list(product((-1, 1), repeat=2))
+            ),
+            1,
+        ),
+        # vertex 2's place taken by an index past the labels
+        "vertex indices below vertex_count": (
+            IncidenceStructure(
+                4, [{0, 1}, {1, 3}, {3, 4}, {4, 0}], labels=list(product((-1, 1), repeat=2))
+            ),
+            0,
+        ),
+    }
+    for why, (mutant, r) in mutants.items():
+        n = len(mutant.labels[0])
+        counts = [len(face_masks(mutant)[k]) for k in range(r + 1)]
+        assert counts == [signvec.cube_face_count(n, k) for k in range(r + 1)], why
+        assert _reference_skeleton_equivalence(mutant, n, r) is False, why
+        assert verify_skeleton_equivalence(mutant, n, r) is False, why
 
 
 def test_skeleton_check_refuses_extra_faces():

@@ -522,8 +522,13 @@ def test_sphere_checks_match_reference():
     assert not verify_sphere_like(psi_cut).ok
     for cx in (psi, boundary_complex(), build_phi(), psi_cut, _loose_complex()):
         assert cx.is_connected() == _reference_is_connected(cx)
-        for v in sorted(cx.vertex_ids):
-            assert cx.vertex_link_surface_check(v) == _reference_vertex_link_surface_check(cx, v), v
+        links = {v: _reference_vertex_link_surface_check(cx, v) for v in sorted(cx.vertex_ids)}
+        for v, want in links.items():
+            assert cx.vertex_link_surface_check(v) == want, v
+        # the one-pass check over every vertex gives the per-vertex verdicts' conjunction
+        assert cx.vertex_links_are_surfaces() is all(links.values())
+    assert psi.vertex_links_are_surfaces() is True
+    assert psi_cut.vertex_links_are_surfaces() is False
 
 
 def test_vertex_in_no_cube_has_no_surface_link():

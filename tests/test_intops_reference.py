@@ -100,6 +100,15 @@ def test_bareiss_det_matches_sympy(rows):
 
 
 @SETTINGS
+@given(int_matrices(st.integers(1, 6), st.integers(1, 6)))
+@example([(0, 0, 0), (0, 0, 0)])
+@example([(1, 2), (2, 4), (3, 6)])
+def test_int_rank_matches_sympy(rows):
+    # the rank of an integer matrix is the number of its echelon rows
+    assert len(echelon(rows)) == _sympy_matrix(rows, len(rows[0])).rank()
+
+
+@SETTINGS
 @given(kernel_matrices())
 @example([(0, 0), (0, 0), (0, 0)])
 @example([(1, 1), (2, 2), (3, 3)])
@@ -136,7 +145,6 @@ def test_echelon_is_a_primitive_echelon_basis(rows):
     width = len(rows[0])
     red = echelon(rows)
     rank = _sympy_matrix(rows, width).rank()
-    # the rank of an integer matrix is the number of its echelon rows
     assert len(red) == rank
     assert list(red) == sorted(red)
     assert all(0 <= i < len(rows) for i in red)

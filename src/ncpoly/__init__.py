@@ -33,7 +33,6 @@ from .deformed import (
 from .gale import (
     f_formula,
     facets_gale,
-    is_positive_circuit,
     to_sign_vector,
 )
 from .polytope import (

@@ -7,14 +7,19 @@ The cube is the solution set of, for k = 1..n,
 with 0 < eps <= 1.  Projecting a suitable (certified) instance to its last d
 coordinates yields a cubical d-polytope whose low skeleton is that of the
 n-cube.  The certificate checks that every maximal minor of the deformation
-matrix keeps its eps=0 sign, over all sign choices that can occur.
+matrix keeps its eps=0 sign, over all sign choices that can occur.  A row
+k <= n-d carries eps only on its diagonal, so a minor is multilinear in
+z_k = sigma_k*eps: the sum over row sets S of c_S * prod_{k in S} z_k, c_S
+the eps = 0 minor with the rows in S made unit vectors.  One table of these
+eps-free c_S decides every candidate eps = p/q: the 2^m signed minors,
+times q^m, are one Walsh-Hadamard transform of c_S p^|S| q^(m-|S|).
 
 The deformation matrix is written once, in column form, in
 ``deformation_columns``, with integer entries.  The positive-circuit test
 takes its n-d+1 rows as columns, which is what its elimination reads;
 ``deformation_rows`` is their transpose, from which the certificate takes
-its 2n signed rows and n eps = 0 rows in one call each, and the cube's
-normals (``constraint_row``) are those rows over the rationals.
+its n eps = 0 rows in one call, and the cube's normals (``constraint_row``)
+are those rows over the rationals.
 
 That the deformed cube is combinatorially the n-cube is read off the tight
 sets H->V returns, with no face lattice: ``_labeled_cube`` labels each vertex
@@ -24,7 +29,7 @@ by its tight side of every pair and checks for 2^n distinct labels.  Every
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from .errors import ConstructionError, NcpolyError, SkeletonViolationError
@@ -96,6 +101,38 @@ def build_deformed_cube(n, epsilon) -> HPolytope:
     return HPolytope(n, ineqs)
 
 
+def _minor_table(n, d):
+    """The eps-free coefficients c_S of the maximal minor of each
+    (n-d)-subset of rows 2..n, S a bitmask over its first m rows (those
+    k <= n-d), one list per subset as the caller reads them."""
+    if not n >= d >= 2:
+        raise ValueError("need n >= d >= 2")
+    width = n - d
+    at_zero = deformation_rows(n, d, [(k, 1) for k in range(1, n + 1)], 0)
+    unit = [tuple(int(j == k - 1) for j in range(width)) for k in range(1, n + 1)]
+    return (
+        [bareiss_det([unit[k - 1] if s >> i & 1 else at_zero[k - 1] for i, k in enumerate(rows)])
+         for s in range(2 ** sum(k <= width for k in rows))]
+        for rows in combinations(range(2, n + 1), width)
+    )
+
+
+def _signed_minors(coeffs, eps):
+    """q^m times the minor at eps = p/q for each sign pattern T (bit i set
+    when row i takes sigma = -1): the Walsh-Hadamard transform (Fino &
+    Algazi 1976) in Good's form, whose pass i weighs row i by q or p."""
+    p, q, v = eps.numerator, eps.denominator, coeffs
+    for _ in range(len(coeffs).bit_length() - 1):
+        lo, hi = v[::2], v[1::2]
+        v = [q * a + p * b for a, b in zip(lo, hi)] + [q * a - p * b for a, b in zip(lo, hi)]
+    return v
+
+
+def _keeps_sign(coeffs, eps):
+    """Every signed minor at eps has the sign of c_0, the nonzero eps = 0 minor."""
+    return coeffs[0] != 0 and min(x * coeffs[0] for x in _signed_minors(coeffs, eps)) > 0
+
+
 def certify_epsilon(n, d, epsilon) -> bool:
     """Sign-stability certificate for the deformation matrix minors.
 
@@ -103,37 +140,18 @@ def certify_epsilon(n, d, epsilon) -> bool:
     that actually carry a diagonal epsilon entry, the maximal minor must be
     nonzero and agree in sign with its value at epsilon = 0.
     """
-    if not n >= d >= 2:
-        raise ValueError("need n >= d >= 2")
-    if not 0 < Fraction(epsilon) <= 1:
+    table = _minor_table(n, d)
+    eps = Fraction(epsilon)
+    if not 0 < eps <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
-    if n == d:
-        return True
-    width = n - d
-    # each of the 2n signed rows and the n eps = 0 rows is built once
-    signed = [(k, sigma) for k in range(1, n + 1) for sigma in (-1, 1)]
-    at_eps = dict(zip(signed, deformation_rows(n, d, signed, epsilon)))
-    at_zero = dict(enumerate(deformation_rows(n, d, [(k, 1) for k in range(1, n + 1)], 0), 1))
-    for rows in combinations(range(2, n + 1), width):
-        # at eps = 0 the signs sigma do not enter the matrix
-        d0 = bareiss_det([at_zero[k] for k in rows])
-        if d0 == 0:
-            return False
-        # rows come in increasing order, so those carrying eps come first
-        m = sum(k <= width for k in rows)
-        unsigned = [at_eps[k, 1] for k in rows[m:]]
-        for signs in product((-1, 1), repeat=m):
-            dv = bareiss_det([at_eps[ks] for ks in zip(rows, signs)] + unsigned)
-            if dv == 0 or (dv > 0) != (d0 > 0):
-                return False
-    return True
+    return all(_keeps_sign(coeffs, eps) for coeffs in table)
 
 
 def choose_epsilon(n, d) -> Fraction:
     """Largest epsilon in {1/2, 1/4, 1/8, ...} passing the certificate."""
-    for e in range(1, 65):
-        eps = Fraction(1, 2 ** e)
-        if certify_epsilon(n, d, eps):
+    table = list(_minor_table(n, d))
+    for eps in (Fraction(1, 2 ** e) for e in range(1, 65)):
+        if all(_keeps_sign(coeffs, eps) for coeffs in table):
             return eps
     raise ConstructionError("no certified epsilon found down to 2^-64")
 
@@ -191,10 +209,11 @@ def project_last(v: VPolytope, d) -> VPolytope:
     """Truncate every point to its last d coordinates, keeping labels."""
     if v.dim < d:
         raise ValueError("ambient dimension below projection target")
-    pts = [p[v.dim - d:] for p in v.points]
-    if len(set(pts)) != len(pts):
-        raise SkeletonViolationError("projection collapsed two vertices")
-    return VPolytope(d, pts, v.labels)
+    try:
+        return VPolytope(d, [p[v.dim - d:] for p in v.points], v.labels)
+    except ValueError as exc:
+        # v's labels passed these checks already, so a repeated point failed
+        raise SkeletonViolationError("projection collapsed two vertices") from exc
 
 
 @dataclass(frozen=True)

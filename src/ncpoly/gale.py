@@ -14,17 +14,19 @@ exactly when
 The closed-form count and the positive-circuit test over the deformation
 matrix give two independent routes to the same facet set.  The circuit test
 builds the columns of the label's n-d+1 rows (``deformation_columns``) and
-reads the rows' left kernel as the columns' right kernel, from one
-``echelon``; nothing is kept from one label to the next.
+back-substitutes the rows' left kernel, the columns' right kernel, over one
+``echelon``, stopping at its first entry that is not positive; nothing is
+kept from one label to the next.
 """
 
 from itertools import combinations, product
 from math import comb
+from operator import mul
 
 from . import signvec
 from .deformed import deformation_columns
 from .errors import FormulaError
-from .intops import echelon, echelon_kernel
+from .intops import echelon
 
 
 def gap_even(support) -> bool:
@@ -75,28 +77,34 @@ def to_sign_vector(alpha, n):
 def _positive_circuit(n, d, signed_rows, epsilon) -> bool:
     """The circuit test on the deformation-matrix rows named by the
     (k, sigma) pairs ``signed_rows``: rank n-d and a strictly one-signed
-    left-kernel vector.  The rows' left kernel is the right kernel of their
-    n-d columns, which ``echelon_kernel`` returns with its first nonzero
-    entry positive.  Raises ValueError unless the k are n-d+1 distinct
-    indices in 1..n."""
+    left-kernel vector.  Its free entry is |prod of pivots| > 0, so the test
+    fails at the first other entry that is not positive.  Raises ValueError
+    unless the k are n-d+1 distinct indices in 1..n."""
     rows = [k for k, _ in signed_rows]
     if len(rows) != n - d + 1:
         raise ValueError("need exactly n-d+1 rows")
     if (rows and not (0 < min(rows) and max(rows) <= n)) or len(set(rows)) != len(rows):
         raise ValueError(f"row indices must be distinct and lie in 1..{n}")
     red = echelon(deformation_columns(n, d, signed_rows, epsilon))
-    return len(red) == n - d and min(echelon_kernel(red, n - d + 1)) > 0
-
-
-def is_positive_circuit(n, d, sigma, rows, epsilon) -> bool:
-    """True when the selected deformation-matrix rows have rank n-d and a
-    strictly one-signed linear dependence.  ``sigma`` maps a row index to its
-    sign; rows it does not name take +1.
-
-    Raises ValueError unless ``rows`` holds exactly n-d+1 distinct indices
-    in 1..n.
-    """
-    return _positive_circuit(n, d, [(k, sigma.get(k, 1)) for k in rows], epsilon)
+    if len(red) != n - d:
+        return False
+    # the n-d pivots are distinct, so the free column is the one missing
+    # from their sum
+    free = (n - d + 1) * (n - d) // 2
+    scale = 1
+    for prow, pc in red.values():
+        free -= pc
+        scale *= prow[pc]
+    u = [0] * (n - d + 1)
+    u[free] = abs(scale)
+    for prow, pc in reversed(red.values()):
+        q, rem = divmod(-sum(map(mul, prow, u)), prow[pc])
+        if rem:
+            raise ArithmeticError("non-integral back-substitution")
+        if q <= 0:
+            return False
+        u[pc] = q
+    return True
 
 
 def alpha_is_positive_circuit(n, d, alpha, epsilon) -> bool:

@@ -5,8 +5,12 @@ from math import comb
 
 import pytest
 
+from ncpoly import deformed
 from ncpoly.deformed import (
+    _keeps_sign,
+    _minor_table,
     _sign_label,
+    _signed_minors,
     build_deformed_cube,
     certify_epsilon,
     choose_epsilon,
@@ -304,22 +308,35 @@ def test_projection_to_the_plane_is_a_polygon():
     assert f_vector(inc) == (64, 64)
 
 
-# (n, d) -> e with choose_epsilon(n, d) == 1/2^e, recorded at the seed
+# (n, d) -> e with choose_epsilon(n, d) == 1/2^e, recorded from the search
+# that took one set of determinants per candidate eps: n <= 9 at the seed,
+# n = 10..14 just before the search moved to one table of eps-free minors
 EPS_EXPONENT = {
-    (2, 2): 1, (3, 2): 1, (3, 3): 1, (4, 2): 1, (4, 3): 1, (4, 4): 1,
-    (5, 2): 2, (5, 3): 1, (5, 4): 1, (5, 5): 1, (6, 2): 3, (6, 3): 2,
-    (6, 4): 1, (6, 5): 1, (6, 6): 1, (7, 2): 4, (7, 3): 3, (7, 4): 2,
-    (7, 5): 1, (7, 6): 1, (7, 7): 1, (8, 2): 6, (8, 3): 4, (8, 4): 3,
-    (8, 5): 2, (8, 6): 1, (8, 7): 1, (8, 8): 1, (9, 2): 7, (9, 3): 6,
-    (9, 4): 4, (9, 5): 3, (9, 6): 2, (9, 7): 1, (9, 8): 1, (9, 9): 1,
+    (2, 2): 1, (3, 2): 1, (3, 3): 1, (4, 2): 1, (4, 3): 1, (4, 4): 1, (5, 2): 2,
+    (5, 3): 1, (5, 4): 1, (5, 5): 1, (6, 2): 3, (6, 3): 2, (6, 4): 1, (6, 5): 1,
+    (6, 6): 1, (7, 2): 4, (7, 3): 3, (7, 4): 2, (7, 5): 1, (7, 6): 1, (7, 7): 1,
+    (8, 2): 6, (8, 3): 4, (8, 4): 3, (8, 5): 2, (8, 6): 1, (8, 7): 1, (8, 8): 1,
+    (9, 2): 7, (9, 3): 6, (9, 4): 4, (9, 5): 3, (9, 6): 2, (9, 7): 1, (9, 8): 1,
+    (9, 9): 1, (10, 2): 8, (10, 3): 7, (10, 4): 6, (10, 5): 4, (10, 6): 3, (10, 7): 2,
+    (10, 8): 1, (10, 9): 1, (10, 10): 1, (11, 2): 9, (11, 3): 9, (11, 4): 7,
+    (11, 5): 6, (11, 6): 4, (11, 7): 3, (11, 8): 2, (11, 9): 1, (11, 10): 1,
+    (11, 11): 1, (12, 2): 10, (12, 3): 10, (12, 4): 9, (12, 5): 7, (12, 6): 6,
+    (12, 7): 4, (12, 8): 3, (12, 9): 2, (12, 10): 1, (12, 11): 1, (12, 12): 1,
 }
+EPS_EXPONENT_SLOW = {(13, 4): 10, (13, 6): 7, (14, 4): 12}
 
 
 def test_choose_epsilon_matches_recorded_exponents():
     got = {
-        (n, d): choose_epsilon(n, d) for n in range(2, 10) for d in range(2, n + 1)
+        (n, d): choose_epsilon(n, d) for n in range(2, 13) for d in range(2, n + 1)
     }
     assert got == {nd: Fraction(1, 2 ** e) for nd, e in EPS_EXPONENT.items()}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,d", sorted(EPS_EXPONENT_SLOW))
+def test_choose_epsilon_matches_recorded_exponents_past_twelve(n, d):
+    assert choose_epsilon(n, d) == Fraction(1, 2 ** EPS_EXPONENT_SLOW[n, d])
 
 
 def _fraction_amatrix_row(n, d, k, sigma, eps):
@@ -412,13 +429,17 @@ def _certify_by_leibniz(n, d, eps):
     return True
 
 
-def test_certificate_matches_rational_determinants():
+def _certificate_eps():
     # eps = 1 makes some minors vanish, e.g. rows {2, 3} of (4, 2); the
     # seeded draws add eps p/q < 1 with q <= 40, accepted and refused alike
     rng = random.Random(6106)
     drawn = [Fraction(rng.randint(1, q - 1), q) for q in rng.sample(range(2, 41), 8)]
+    return (Fraction(3, 37), Fraction(2, 9), Fraction(1, 3), Fraction(4, 5), Fraction(5, 7), 1, *drawn)
+
+
+def test_certificate_matches_rational_determinants():
     accepted = refused = 0
-    for eps in (Fraction(3, 37), Fraction(2, 9), Fraction(1, 3), Fraction(4, 5), Fraction(5, 7), 1, *drawn):
+    for eps in _certificate_eps():
         for n in range(3, 7):
             for d in range(2, n):
                 want = _certify_by_leibniz(n, d, eps)
@@ -426,3 +447,42 @@ def test_certificate_matches_rational_determinants():
                 accepted += want
                 refused += not want
     assert accepted > 30 and refused > 5
+
+
+def test_minor_table_transform_is_every_signed_minor():
+    # each subset's eps-free coefficients, transformed at eps = p/q, give at
+    # bitmask T the minor of the q-scaled integer rows with sigma = -1 on the
+    # rows T names; the coefficient at S = 0 is the eps = 0 minor
+    for eps in _certificate_eps():
+        for n in range(3, 8):
+            for d in range(2, n + 1):
+                subsets = list(combinations(range(2, n + 1), n - d))
+                table = list(_minor_table(n, d))
+                assert len(table) == len(subsets)
+                for rows, coeffs in zip(subsets, table):
+                    m = sum(k <= n - d for k in rows)
+                    assert len(coeffs) == 2 ** m
+                    assert coeffs[0] == bareiss_det(deformation_rows(n, d, [(k, 1) for k in rows], 0))
+                    want = [
+                        bareiss_det(deformation_rows(
+                            n, d, [(k, -1 if t >> i & 1 else 1) for i, k in enumerate(rows)], eps
+                        ))
+                        for t in range(2 ** m)
+                    ]
+                    assert _signed_minors(coeffs, Fraction(eps)) == want, (n, d, rows, eps)
+
+
+def test_zero_eps_free_minor_refuses_before_any_transform(monkeypatch):
+    # a zero eps = 0 minor refuses every eps at once; the transform would
+    # refuse it too, since its 2^m values sum to (2q)^m c_0 = 0
+    transformed = []
+    real = deformed._signed_minors
+    monkeypatch.setattr(deformed, "_signed_minors", lambda c, e: transformed.append(c) or real(c, e))
+    for coeffs in ([0], [0, 3], [0, -2, 5, 7]):
+        for eps in (Fraction(1), Fraction(1, 2), Fraction(3, 37)):
+            assert _keeps_sign(coeffs, eps) is False
+    assert transformed == []
+    assert _keeps_sign([4, 1], Fraction(1, 2)) is True
+    assert _keeps_sign([-4, 1], Fraction(1, 2)) is True
+    assert _keeps_sign([4, 9], Fraction(1, 2)) is False
+    assert transformed == [[4, 1], [-4, 1], [4, 9]]

@@ -7,11 +7,11 @@ import pytest
 from ncpoly import signvec
 from ncpoly.deformed import choose_epsilon
 from ncpoly.gale import (
+    _positive_circuit,
     alpha_is_positive_circuit,
     f_formula,
     facets_gale,
     gap_even,
-    is_positive_circuit,
     to_sign_vector,
 )
 from test_linalg import left_kernel
@@ -115,8 +115,15 @@ def test_full_run_case_accepts_both_signs():
     assert frozenset({-1, -2}) in out
 
 
+def _sigma_circuit(n, d, sigma, rows, eps):
+    # the sigma-mapping form the package once exported: sigma maps a row
+    # index to its sign, and rows it does not name take +1
+    return _positive_circuit(n, d, [(k, sigma.get(k, 1)) for k in rows], eps)
+
+
 def test_positive_circuit_vacuous_when_n_equals_d():
-    assert is_positive_circuit(3, 3, {1: 1}, (2,), Fraction(1, 2))
+    assert _sigma_circuit(3, 3, {1: 1}, (2,), Fraction(1, 2))
+    assert alpha_is_positive_circuit(3, 3, frozenset({-2}), Fraction(1, 2))
 
 
 @pytest.mark.parametrize(
@@ -131,7 +138,7 @@ def test_positive_circuit_vacuous_when_n_equals_d():
 )
 def test_positive_circuit_rejects_bad_rows(n, d, rows):
     with pytest.raises(ValueError):
-        is_positive_circuit(n, d, {}, rows, Fraction(1, 2))
+        _sigma_circuit(n, d, {}, rows, Fraction(1, 2))
 
 
 @pytest.mark.parametrize(
@@ -177,7 +184,7 @@ def test_sigma_mapping_agrees_with_signed_label(eps):
                 for signs in product((-1, 1), repeat=size):
                     alpha = frozenset(s * k for s, k in zip(signs, support))
                     sigma = {k: -1 for s, k in zip(signs, support) if s < 0}
-                    assert is_positive_circuit(n, d, sigma, support[::-1], e) == (
+                    assert _sigma_circuit(n, d, sigma, support[::-1], e) == (
                         alpha_is_positive_circuit(n, d, alpha, e)
                     ), (n, d, alpha, e)
 

@@ -48,7 +48,6 @@ from .polytope import (
     vertices_from_hrep,
 )
 from .skeleton import (
-    cube_skeleton,
     dehn_sommerville_check,
     double_r_cubicality_check,
     upper_face_subdivision,

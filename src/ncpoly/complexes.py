@@ -5,13 +5,21 @@ Faces are vertex bitmasks (bit v for vertex ID v) grouped by dimension,
 polytope's face lattice is a complex as it stands.  A k-face has 2^k
 vertices.  The connectivity of a complex (vertices joined by edges) and of
 a vertex link (cubes joined by quads) is one graph walk, ``_connected``.
+
+Faces of the n-cube are masks over its vertex IDs too (bit i of an ID set
+means coordinate i is +1; ``signvec.vertex_set`` turns a sign vector into
+such a mask).  Two faces of one cube meet in a face whose vertex set is the
+intersection, so the face algebra is bitwise: the meet is ``a & b`` (0 when
+disjoint), a is a face of b when ``a & b == a``, and the face of F opposite
+its facet Q is ``F & ~Q``.  ``free_coordinates`` and ``codim1_faces`` read
+a face's coordinates off its vertex IDs.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
-from operator import or_
+from operator import and_, or_
 
 from . import signvec
 from .errors import ConstructionError
@@ -152,14 +160,34 @@ def _connected(nodes, links):
     return len(seen) == len(touching)
 
 
-def from_cube_facets(facet_sign_vectors):
-    """Downward closure of cube faces given by sign vectors, as a complex
-    over the cube's vertex IDs (``signvec.vertex_set``)."""
-    faces = set()
-    for top in facet_sign_vectors:
-        for j in range(signvec.face_dim(top) + 1):
-            faces.update(signvec.subfaces(top, j))
+def free_coordinates(face):
+    """The coordinates a cube face (a mask over cube vertex IDs) is free in,
+    as a bitmask: the bits that vary over its vertex IDs."""
+    ids = signvec.members(face)
+    return reduce(or_, ids) ^ reduce(and_, ids)
+
+
+def codim1_faces(face):
+    """The 2k codimension-1 faces of a cube k-face, as masks: the face split
+    on each free coordinate into the vertices with that bit set and the rest."""
+    ids = signvec.members(face)
+    free = reduce(or_, ids) ^ reduce(and_, ids)  # free_coordinates, on ids read once
+    out = []
+    for i in range(free.bit_length()):
+        if free >> i & 1:
+            upper = sum(1 << v for v in ids if v >> i & 1)
+            out += [upper, face ^ upper]
+    return out
+
+
+def from_cube_facets(facets):
+    """Downward closure of cube faces given as masks over the cube's vertex
+    IDs (``signvec.vertex_set``)."""
     faces_by_dim = {}
-    for sv in faces:
-        faces_by_dim.setdefault(signvec.face_dim(sv), set()).add(signvec.vertex_set(sv))
+    for f in facets:
+        faces_by_dim.setdefault(f.bit_count().bit_length() - 1, set()).add(f)
+    for k in range(max(faces_by_dim, default=0), 0, -1):
+        below = faces_by_dim.setdefault(k - 1, set())
+        for f in faces_by_dim.get(k, ()):
+            below.update(codim1_faces(f))
     return CubicalComplex(faces_by_dim)

@@ -2,12 +2,13 @@
 
 A face of the n-cube is a vector in {+1, -1, 0}^n; zero positions are the
 free coordinates, so a face with k zeroes is a k-face.  Vertices are encoded
-as bitmasks: bit i set means coordinate i equals +1.  A face's vertex set
-is itself a bitmask over those vertex IDs (``vertex_set``), the face format
-of ``complexes``; ``members`` lists the IDs in such a mask.
+as bitmasks: bit i set means coordinate i equals +1.  Sign vectors are the
+gale labels of facets and the text of the CLI; every face operation runs on
+vertex masks instead.  ``vertex_set`` is the one bridge: it turns a face
+into the bitmask of its vertex IDs, the face format of ``complexes``, and
+``members`` lists the IDs in such a mask.
 """
 
-from itertools import combinations, product
 from math import comb
 
 CHARS = {-1: "-", 0: "0", 1: "+"}
@@ -32,30 +33,8 @@ def lex_key(sv):
     return tuple(LEX[s] for s in sv)
 
 
-def face_dim(sv):
-    return sum(1 for s in sv if s == 0)
-
-
 def zero_positions(sv):
     return tuple(i for i, s in enumerate(sv) if s == 0)
-
-
-def is_subface(sub, face):
-    """True when ``sub`` is a face of ``face`` (fills some of its zeroes)."""
-    return all(f == 0 or s == f for s, f in zip(sub, face))
-
-
-def meet(a, b):
-    """Intersection of two cube faces, or None when they are disjoint."""
-    out = []
-    for x, y in zip(a, b):
-        if x == 0:
-            out.append(y)
-        elif y == 0 or x == y:
-            out.append(x)
-        else:
-            return None
-    return tuple(out)
 
 
 def vertices_bits(sv):
@@ -89,28 +68,6 @@ def members(mask):
 
 def vertex_tuple_from_bits(bits, n):
     return tuple(1 if bits >> i & 1 else -1 for i in range(n))
-
-
-def subfaces(sv, k):
-    """All k-faces of the cube face ``sv``."""
-    zeros = zero_positions(sv)
-    if k > len(zeros):
-        return
-    sv = list(sv)
-    for keep in combinations(zeros, k):
-        fill = [p for p in zeros if p not in keep]
-        for signs in product((-1, 1), repeat=len(fill)):
-            face = sv[:]
-            for p, s in zip(fill, signs):
-                face[p] = s
-            yield tuple(face)
-
-
-def all_faces(n, max_zeros):
-    """Every face of the n-cube with at most ``max_zeros`` zeroes."""
-    for sv in product((-1, 0, 1), repeat=n):
-        if face_dim(sv) <= max_zeros:
-            yield sv
 
 
 def cube_face_count(n, k):

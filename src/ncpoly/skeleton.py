@@ -23,13 +23,6 @@ from .errors import ConstructionError
 from .polytope import IncidenceStructure, face_masks, facets_from_vrep
 
 
-def cube_skeleton(n, r):
-    """All faces of the n-cube of dimension at most r, as sign vectors."""
-    if not 0 <= r <= n:
-        raise ValueError("need 0 <= r <= n")
-    return list(signvec.all_faces(n, max_zeros=r))
-
-
 def verify_skeleton_equivalence(inc: IncidenceStructure, n, r) -> bool:
     """Does the labeled incidence structure share the cube's r-skeleton?
 

@@ -29,6 +29,7 @@ from ncpoly.polytope import (
     is_cubical,
 )
 from ncpoly.skeleton import dehn_sommerville_check
+from test_complexes import all_faces, face_dim
 
 
 def test_first_construction_d4():
@@ -92,11 +93,11 @@ def _reference_pklm_faces(d, triples):
         ball = set(_ball_facets(d, *t))
         comp = [(i, s) for i in range(d + 1) for s in (-1, 1) if (i, s) not in ball]
         sides.append((ball, comp, {}))
-    for sv in signvec.all_faces(d + 1, max_zeros=d - 1):
+    for sv in all_faces(d + 1, max_zeros=d - 1):
         verts = signvec.vertex_set(sv)
         for ball, comp, faces_by_dim in sides:
             if any(sv[i] == s for i, s in ball) and any(sv[i] == s for i, s in comp):
-                faces_by_dim.setdefault(signvec.face_dim(sv), set()).add(verts)
+                faces_by_dim.setdefault(face_dim(sv), set()).add(verts)
     return [{k: frozenset(fs) for k, fs in faces.items()} for _, _, faces in sides]
 
 

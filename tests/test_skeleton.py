@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from ncpoly import signvec, skeleton
-from ncpoly.complexes import CubicalComplex
+from ncpoly.complexes import CubicalComplex, from_cube_facets
 from ncpoly.deformed import certify_epsilon, choose_epsilon, cube_vertices_labeled, project_last
 from ncpoly.errors import ConstructionError
 from ncpoly.polytope import (
@@ -15,37 +15,52 @@ from ncpoly.polytope import (
     facets_from_vrep,
 )
 from ncpoly.skeleton import (
-    cube_skeleton,
     dehn_sommerville_check,
     double_r_cubicality_check,
     upper_face_subdivision,
     verify_skeleton_equivalence,
 )
+from test_complexes import all_faces, face_dim
 
 
 def test_cube_face_count_is_an_exact_int():
     # k above n has no faces: 0, not the float 2 ** (n - k) times 0
     for n in range(7):
         for k in range(n + 3):
-            want = sum(1 for sv in product((-1, 0, 1), repeat=n) if signvec.face_dim(sv) == k)
+            want = sum(1 for sv in product((-1, 0, 1), repeat=n) if face_dim(sv) == k)
             got = signvec.cube_face_count(n, k)
             assert type(got) is int and got == want, (n, k)
+
+
+def cube_skeleton(n, r):
+    """All faces of the n-cube of dimension at most r, as sign vectors."""
+    if not 0 <= r <= n:
+        raise ValueError("need 0 <= r <= n")
+    return list(all_faces(n, max_zeros=r))
 
 
 def test_cube_skeleton_counts():
     sk = cube_skeleton(3, 1)
     by_dim = {}
     for sv in sk:
-        by_dim[signvec.face_dim(sv)] = by_dim.get(signvec.face_dim(sv), 0) + 1
+        by_dim[face_dim(sv)] = by_dim.get(face_dim(sv), 0) + 1
     assert by_dim == {0: 8, 1: 12}
 
     sk6 = cube_skeleton(6, 1)
     by_dim6 = {}
     for sv in sk6:
-        by_dim6[signvec.face_dim(sv)] = by_dim6.get(signvec.face_dim(sv), 0) + 1
+        by_dim6[face_dim(sv)] = by_dim6.get(face_dim(sv), 0) + 1
     assert by_dim6 == {0: 64, 1: 192}
 
     assert len(cube_skeleton(5, 0)) == 32
+
+    # the mask closure of the whole n-cube has the same low faces
+    for n, r in ((3, 1), (6, 1), (5, 0)):
+        cube = from_cube_facets([signvec.vertex_set((0,) * n)]).faces_by_dim
+        assert {k: cube[k] for k in range(r + 1)} == {
+            k: {signvec.vertex_set(sv) for sv in cube_skeleton(n, r) if face_dim(sv) == k}
+            for k in range(r + 1)
+        }
 
 
 def test_cube_skeleton_range_check():
@@ -106,11 +121,11 @@ def _reference_skeleton_equivalence(inc, n, r):
     if any(len(faces[k]) != signvec.cube_face_count(n, k) for k in faces):
         return False
     by_label = {lab: i for i, lab in enumerate(inc.labels)}
-    for sv in signvec.all_faces(n, max_zeros=r):
+    for sv in all_faces(n, max_zeros=r):
         want = frozenset(
             by_label[signvec.vertex_tuple_from_bits(b, n)] for b in signvec.vertices_bits(sv)
         )
-        if want not in faces[signvec.face_dim(sv)]:
+        if want not in faces[face_dim(sv)]:
             return False
     return True
 

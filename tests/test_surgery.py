@@ -1,10 +1,12 @@
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
 from ncpoly import signvec, surgery
 from ncpoly.complexes import CubicalComplex, from_cube_facets
 from ncpoly.errors import ConstructionError
+from ncpoly.gale import facets_gale, to_sign_vector
 from ncpoly.skeleton import dehn_sommerville_check
 from ncpoly.surgery import (
     FACET_A,
@@ -16,19 +18,28 @@ from ncpoly.surgery import (
     build_psi,
     chain_edge_facet_degrees,
     intersection_lemma_check,
-    phi_boundary_complex,
+    phi_boundary_faces,
     verify_sphere_like,
 )
+from test_complexes import face_dim, is_subface, meet, opposite, subfaces
+
+# the chain as sign vectors: the gale labels the surgery's masks come from
+CHAIN = tuple(map(signvec.parse, ("-+00+0", "-00++0", "--0+00")))
+
+
+def _boundary_sign_vectors():
+    return [to_sign_vector(a, surgery.N) for a in facets_gale(surgery.N, surgery.D)]
 
 
 def test_chain_meets():
-    ab = signvec.meet(FACET_A, FACET_B)
-    bc = signvec.meet(FACET_B, FACET_C)
-    assert ab == signvec.parse("-+0++0")
-    assert bc == signvec.parse("--0++0")
-    assert signvec.meet(FACET_A, FACET_C) is None
-    assert signvec.vertex_set(ab).bit_count() == 4
-    assert signvec.vertex_set(bc).bit_count() == 4
+    assert tuple(map(signvec.vertex_set, CHAIN)) == (FACET_A, FACET_B, FACET_C)
+    ab = FACET_A & FACET_B
+    bc = FACET_B & FACET_C
+    assert ab == signvec.vertex_set(signvec.parse("-+0++0"))
+    assert bc == signvec.vertex_set(signvec.parse("--0++0"))
+    assert FACET_A & FACET_C == 0
+    assert ab.bit_count() == 4
+    assert bc.bit_count() == 4
 
 
 def test_phi_has_16_vertices():
@@ -39,7 +50,7 @@ def test_phi_has_16_vertices():
 
 
 def test_phi_boundary_is_a_2_sphere():
-    bd = phi_boundary_complex()
+    bd = from_cube_facets(phi_boundary_faces())
     assert bd.dim == 2
     assert bd.euler_characteristic() == 2
     assert bd.is_connected()
@@ -52,7 +63,8 @@ def test_phi_boundary_is_a_2_sphere():
 def test_rejected_candidate_patterns_are_not_facets():
     # facets of the shape (-,0,u,0,+,v) or (-,0,w,+,0,x) would break the
     # chain-disjointness argument; none may exist
-    facets = set(boundary_facets())
+    facets = set(_boundary_sign_vectors())
+    assert {signvec.vertex_set(f) for f in facets} == set(boundary_facets())
     for f in facets:
         assert not (f[0] == -1 and f[1] == 0 and f[3] == 0 and f[4] == 1)
         assert not (f[0] == -1 and f[1] == 0 and f[3] == 1 and f[4] == 0)
@@ -104,6 +116,46 @@ def test_chain_edge_degrees():
     values = sorted(degrees.values())
     assert all(v >= 4 for v in values)
     assert values.count(5) == 4
+    # keyed by edge mask: the edges of B-C and B-A, counted on sign vectors
+    facet_a, facet_b, facet_c = CHAIN
+    facets = _boundary_sign_vectors()
+    want = {
+        signvec.vertex_set(edge): sum(is_subface(edge, f) for f in facets)
+        for other in (facet_c, facet_a)
+        for edge in subfaces(opposite(facet_b, meet(facet_b, other)), 1)
+    }
+    assert degrees == want
+
+
+def _torus():
+    """The cubical 3-torus on Z_4^3: vertex ID x + 4y + 16z, and from each
+    vertex one face for each set of directions it spans."""
+    faces_by_dim = {}
+    for x, y, z in product(range(4), repeat=3):
+        for dx, dy, dz in product((0, 1), repeat=3):
+            ids = {
+                (x + a) % 4 + 4 * ((y + b) % 4) + 16 * ((z + c) % 4)
+                for a in range(dx + 1)
+                for b in range(dy + 1)
+                for c in range(dz + 1)
+            }
+            faces_by_dim.setdefault(dx + dy + dz, set()).add(_mask(ids))
+    return CubicalComplex(faces_by_dim)
+
+
+def test_torus_passes_the_sphere_certificate():
+    # a recorded limit: verify_sphere_like checks necessary conditions only,
+    # and this torus, with the f-vector of the boundary of C_4^6, passes them
+    # all though it is no sphere; telling the two apart needs a shelling
+    torus = _torus()
+    torus.validate()
+    assert torus.f_vector() == boundary_complex().f_vector() == (64, 192, 192, 64)
+    report = verify_sphere_like(torus)
+    assert report.ridges_in_two_facets
+    assert report.connected
+    assert report.euler_zero
+    assert report.links_ok
+    assert report.ok
 
 
 def test_counter_example_property():
@@ -141,10 +193,11 @@ def _reference_glue_ball_cells():
     def bits(vt):
         return sum(1 << i for i, s in enumerate(vt) if s == 1)
 
-    ab = signvec.meet(FACET_A, FACET_B)
-    bc = signvec.meet(FACET_B, FACET_C)
-    top = surgery._opposite(FACET_A, ab)
-    bottom = surgery._opposite(FACET_C, bc)
+    facet_a, facet_b, facet_c = CHAIN
+    ab = meet(facet_a, facet_b)
+    bc = meet(facet_b, facet_c)
+    top = opposite(facet_a, ab)
+    bottom = opposite(facet_c, bc)
     p, q = signvec.zero_positions(top)
 
     def vert(base, sp, sq):
@@ -184,7 +237,7 @@ def _reference_glue_ball_cells():
             path_quads.append(frozenset(quad))
 
     phi_vertices = signvec.members(
-        signvec.vertex_set(FACET_A) | signvec.vertex_set(FACET_B) | signvec.vertex_set(FACET_C)
+        signvec.vertex_set(facet_a) | signvec.vertex_set(facet_b) | signvec.vertex_set(facet_c)
     )
     side_cubes = [
         frozenset(b for b in phi_vertices if signvec.vertex_tuple_from_bits(b, surgery.N)[pos] == s)
@@ -194,37 +247,34 @@ def _reference_glue_ball_cells():
     return tuple(list(map(_mask, cells)) for cells in (edges, quads, [central] + side_cubes))
 
 
-def _reference_intersection_lemma_check():
-    """The lemma with the boundary closed under subfaces and its maximal
-    common face found by a scan; the disjointness half is unchanged."""
-    ab = signvec.meet(surgery.FACET_A, surgery.FACET_B)
-    bc = signvec.meet(surgery.FACET_B, surgery.FACET_C)
-    chain = (surgery.FACET_A, surgery.FACET_B, surgery.FACET_C)
-    others = [f for f in surgery.boundary_facets() if f not in chain]
+def _reference_intersection_lemma_check(chain, facets):
+    """The lemma on sign vectors, for the chain (A, B, C) among ``facets``:
+    the boundary closed under subfaces and its maximal common face found by
+    a scan; the disjointness half is unchanged."""
+    facet_a, facet_b, facet_c = chain
+    ab = meet(facet_a, facet_b)
+    bc = meet(facet_b, facet_c)
+    others = [f for f in facets if f not in chain]
+    quads = Counter(q for top in chain for q in subfaces(top, 2))
     boundary_all = set()
-    for q in surgery.phi_boundary_faces():
-        for k in range(3):
-            boundary_all.update(signvec.subfaces(q, k))
+    for q, c in quads.items():
+        if c == 1 and q not in (ab, bc):
+            for k in range(3):
+                boundary_all.update(subfaces(q, k))
     for facet in others:
-        common = [w for w in boundary_all if signvec.is_subface(w, facet)]
+        common = [w for w in boundary_all if is_subface(w, facet)]
         if not common:
             continue
-        maximal = [
-            w
-            for w in common
-            if not any(u != w and signvec.is_subface(w, u) for u in common)
-        ]
+        maximal = [w for w in common if not any(u != w and is_subface(w, u) for u in common)]
         if len(maximal) != 1:
             return False
         top = maximal[0]
-        if set(common) != set(
-            sub for k in range(signvec.face_dim(top) + 1) for sub in signvec.subfaces(top, k)
-        ):
+        if set(common) != set(sub for k in range(face_dim(top) + 1) for sub in subfaces(top, k)):
             return False
     pairs = (
-        (surgery._opposite(surgery.FACET_A, ab), surgery._opposite(surgery.FACET_B, ab)),
-        (surgery._opposite(surgery.FACET_B, bc), surgery._opposite(surgery.FACET_C, bc)),
-        (surgery._opposite(surgery.FACET_A, ab), surgery._opposite(surgery.FACET_C, bc)),
+        (opposite(facet_a, ab), opposite(facet_b, ab)),
+        (opposite(facet_b, bc), opposite(facet_c, bc)),
+        (opposite(facet_a, ab), opposite(facet_c, bc)),
     )
     for x, y in pairs:
         xv = signvec.vertex_set(x)
@@ -288,11 +338,11 @@ def _reference_vertex_link_surface_check(cx, v):
 def _boundary_chains():
     """Every chain (A, B, C) of boundary facets of (6,4) whose consecutive
     meets are quadrilaterals and whose ends are disjoint."""
-    facets = boundary_facets()
+    facets = _boundary_sign_vectors()
 
     def quad_meet(f, g):
-        m = signvec.meet(f, g)
-        return m is not None and signvec.face_dim(m) == 2
+        m = meet(f, g)
+        return m is not None and face_dim(m) == 2
 
     return [
         (a, b, c)
@@ -300,7 +350,7 @@ def _boundary_chains():
         for a in facets
         if quad_meet(a, b)
         for c in facets
-        if c != a and quad_meet(b, c) and signvec.meet(a, c) is None
+        if c != a and quad_meet(b, c) and meet(a, c) is None
     ]
 
 
@@ -334,7 +384,7 @@ def _octahedron(xp, xm, yp, ym, zp, zm):
 def _loose_complex():
     """A 3-cube with a path of two edges through a vertex (8) in no cube,
     and a vertex (9) in no edge: the link of 8 has Euler characteristic 2."""
-    cube = from_cube_facets([(0, 0, 0)])
+    cube = from_cube_facets([signvec.vertex_set((0, 0, 0))])
     return CubicalComplex(
         {
             0: set(cube.faces_by_dim[0]) | {_mask({8}), _mask({9})},
@@ -493,25 +543,26 @@ def test_glued_cells_match_reference():
 def test_intersection_lemma_matches_reference_on_every_chain(monkeypatch):
     chains = _boundary_chains()
     assert len(chains) == 384
+    facets = _boundary_sign_vectors()
     outcomes = []
-    for a, b, c in chains:
-        monkeypatch.setattr(surgery, "FACET_A", a)
-        monkeypatch.setattr(surgery, "FACET_B", b)
-        monkeypatch.setattr(surgery, "FACET_C", c)
+    for chain in chains:
+        for name, f in zip(("FACET_A", "FACET_B", "FACET_C"), chain):
+            monkeypatch.setattr(surgery, name, signvec.vertex_set(f))
         got = intersection_lemma_check()
-        assert got == _reference_intersection_lemma_check(), (a, b, c)
+        assert got == _reference_intersection_lemma_check(chain, facets), chain
         outcomes.append(got)
     assert outcomes.count(True) == 8
-    assert (FACET_A, FACET_B, FACET_C) in [t for t, ok in zip(chains, outcomes) if ok]
+    assert CHAIN in [t for t, ok in zip(chains, outcomes) if ok]
 
 
 def test_lemma_refuses_a_facet_through_an_inner_quad(monkeypatch):
     # the 3-face 0+0++0 holds the quad A-B of the chain, so it meets the
     # chain boundary in that quad's four edges, not in one face; it touches
     # no pair the disjointness half looks at, so only the closure half sees it
-    facets = boundary_facets() + [signvec.parse("0+0++0")]
-    monkeypatch.setattr(surgery, "boundary_facets", lambda: facets)
-    assert _reference_intersection_lemma_check() is False
+    extra = signvec.parse("0+0++0")
+    masks = boundary_facets() + [signvec.vertex_set(extra)]
+    monkeypatch.setattr(surgery, "boundary_facets", lambda: masks)
+    assert _reference_intersection_lemma_check(CHAIN, _boundary_sign_vectors() + [extra]) is False
     assert intersection_lemma_check() is False
 
 

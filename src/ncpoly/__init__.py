@@ -26,6 +26,7 @@ from .deformed import (
     build_deformed_cube,
     certify_epsilon,
     choose_epsilon,
+    common_epsilon,
     project_last,
     projected_cube,
     verify_combinatorial_cube,

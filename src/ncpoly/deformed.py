@@ -18,13 +18,16 @@ The deformation matrix is written once, in column form, in
 ``deformation_columns``, with integer entries.  The positive-circuit test
 takes its n-d+1 rows as columns, which is what its elimination reads;
 ``deformation_rows`` is their transpose, from which the certificate takes
-its n eps = 0 rows in one call, and the cube's normals (``constraint_row``)
-are those rows over the rationals.
+its n eps = 0 rows in one call, and ``build_deformed_cube`` its 2n normals,
+those rows over eps's denominator.
+
+Every eps decision is made here: ``common_epsilon`` walks the one ladder
+1/2, 1/4, ..., 1/2^64 over one minor table per dimension it must certify.
 
 That the deformed cube is combinatorially the n-cube is read off the tight
-sets H->V returns, with no face lattice: ``_labeled_cube`` labels each vertex
-by its tight side of every pair and checks for 2^n distinct labels.  Every
-``cube_vertices_labeled``, and so every ``projected_cube``, runs that check.
+sets H->V returns, with no face lattice: ``cube_vertices_labeled`` labels
+each vertex by its tight side of every pair and checks for 2^n distinct
+labels.  Every ``projected_cube`` runs that check.
 """
 
 from dataclasses import dataclass
@@ -75,30 +78,18 @@ def deformation_rows(n, d, signed_rows, epsilon):
     return list(zip(*cols)) if cols else [()] * len(signed_rows)
 
 
-def constraint_row(n, k, sigma, epsilon):
-    """Normal vector of the side-sigma inequality of constraint k (1-based):
-    row k of the n x n deformation matrix, as Fractions."""
-    q = Fraction(epsilon).denominator
-    (row,) = deformation_rows(n, 0, [(k, sigma)], epsilon)
-    return tuple(Fraction(x, q) for x in row)
-
-
-def constraint_rhs(k, epsilon):
-    eps = Fraction(epsilon)
-    return Fraction(2 ** comb(k, 2)) / eps ** (k - 1)
-
-
 def build_deformed_cube(n, epsilon) -> HPolytope:
     """The 2n inequalities, ordered k = 1..n with the minus side first."""
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
-    ineqs = []
-    for k in range(1, n + 1):
-        rhs = constraint_rhs(k, eps)
-        for sigma in (-1, 1):
-            ineqs.append((constraint_row(n, k, sigma, eps), rhs))
-    return HPolytope(n, ineqs)
+    signed = [(k, sigma) for k in range(1, n + 1) for sigma in (-1, 1)]
+    # at d = 0 every row carries eps, so every row is scaled by q
+    q = eps.denominator
+    return HPolytope(n, [
+        (tuple(Fraction(x, q) for x in row), 2 ** comb(k, 2) / eps ** (k - 1))
+        for (k, _), row in zip(signed, deformation_rows(n, 0, signed, eps))
+    ])
 
 
 def _minor_table(n, d):
@@ -147,13 +138,19 @@ def certify_epsilon(n, d, epsilon) -> bool:
     return all(_keeps_sign(coeffs, eps) for coeffs in table)
 
 
-def choose_epsilon(n, d) -> Fraction:
-    """Largest epsilon in {1/2, 1/4, 1/8, ...} passing the certificate."""
-    table = list(_minor_table(n, d))
+def common_epsilon(n, dims) -> Fraction:
+    """Largest epsilon in {1/2, 1/4, ..., 1/2^64} passing the certificate
+    of (n, d) for every d in ``dims``; each d's minor table is built once."""
+    tables = [coeffs for d in dims for coeffs in _minor_table(n, d)]
     for eps in (Fraction(1, 2 ** e) for e in range(1, 65)):
-        if all(_keeps_sign(coeffs, eps) for coeffs in table):
+        if all(_keeps_sign(coeffs, eps) for coeffs in tables):
             return eps
     raise ConstructionError("no certified epsilon found down to 2^-64")
+
+
+def choose_epsilon(n, d) -> Fraction:
+    """Largest epsilon in {1/2, 1/4, 1/8, ...} passing the certificate."""
+    return common_epsilon(n, [d])
 
 
 def _sign_label(tight, n):
@@ -165,7 +162,7 @@ def _sign_label(tight, n):
     return tuple(1 if 2 * k + 1 in tight else -1 for k in range(n))
 
 
-def _labeled_cube(h: HPolytope) -> VPolytope:
+def cube_vertices_labeled(h: HPolytope) -> VPolytope:
     """Vertices of ``h``, labeled by tight signs, when ``h`` is a
     combinatorial n-cube whose 2n inequalities come in pairs (2k, 2k+1) of
     opposite facets; raises an NcpolyError otherwise.
@@ -188,18 +185,12 @@ def _labeled_cube(h: HPolytope) -> VPolytope:
     return VPolytope(n, [p for p, _ in verts], labels)
 
 
-def cube_vertices_labeled(n, epsilon) -> VPolytope:
-    """Vertex description of the deformed cube, labeled by tight signs;
-    raises ConstructionError unless it is a combinatorial n-cube."""
-    return _labeled_cube(build_deformed_cube(n, epsilon))
-
-
 def verify_combinatorial_cube(h: HPolytope) -> bool:
     """True when the solution set is a combinatorial n-cube, its inequalities
     paired as in ``build_deformed_cube``.  Reads only the H->V tight sets;
-    ``_labeled_cube`` says why that suffices."""
+    ``cube_vertices_labeled`` says why that suffices."""
     try:
-        _labeled_cube(h)
+        cube_vertices_labeled(h)
     except NcpolyError:
         return False
     return True
@@ -239,7 +230,7 @@ def projected_cube(n, d, epsilon=None) -> ProjectedCube:
         if not certify_epsilon(n, d, eps):
             raise ConstructionError(f"epsilon {eps} fails the minor-sign certificate")
     h = build_deformed_cube(n, eps)
-    cube = cube_vertices_labeled(n, eps)
+    cube = cube_vertices_labeled(h)
     shadow = project_last(cube, d)
     return ProjectedCube(n, d, eps, h, cube, shadow)
 

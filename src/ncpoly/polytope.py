@@ -108,12 +108,6 @@ class IncidenceStructure:
         self._lattice = None  # face_masks(self), built on first use
 
 
-def canonical_inequality(normal, rhs):
-    """Primitive integer form of normal . x <= rhs (positive scaling only)."""
-    row = primitive(int_row((*normal, rhs)))
-    return tuple(row[:-1]), row[-1]
-
-
 # ---------------------------------------------------------------------------
 # the cone routine behind both hull directions
 # ---------------------------------------------------------------------------
@@ -224,7 +218,7 @@ def vertices_from_hrep(h: HPolytope) -> VPolytope:
 
 
 def facets_from_vrep(v: VPolytope) -> IncidenceStructure:
-    """All facets of conv(points), sorted by canonical inequality.
+    """All facets of conv(points), sorted by primitive integer inequality.
 
     The facets are the extreme rays of the cone of affine functions
     nonnegative on every point, u . (x, 1) >= 0; a facet's vertex set is the
@@ -239,9 +233,9 @@ def facets_from_vrep(v: VPolytope) -> IncidenceStructure:
         raise SpanError("points do not affinely span the ambient space")
     entries = []
     for u, inc in rays:
-        # u . (x, 1) >= 0 on all points: outward form is -u[:d] . x <= u[d]
-        normal = tuple(-a for a in u[:d])
-        entries.append((inc, canonical_inequality(normal, Fraction(u[d], mult))))
+        # u . (x, 1) >= 0 on the unscaled points: -mult*u[:d] . x <= u[d], made primitive
+        row = primitive((*(-mult * a for a in u[:d]), u[d]))
+        entries.append((inc, (row[:-1], row[-1])))
     entries.sort(key=lambda e: e[1])
     return IncidenceStructure(
         vertex_count=len(v.points),

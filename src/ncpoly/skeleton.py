@@ -5,7 +5,6 @@ over from the projection, not by isomorphism search: the target must have as
 many low faces as the cube, each the vertex set of a cube face of its dimension.
 """
 
-from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import comb
@@ -13,12 +12,7 @@ from operator import or_
 
 from . import signvec
 from .complexes import CubicalComplex
-from .deformed import (
-    certify_epsilon,
-    choose_epsilon,
-    cube_vertices_labeled,
-    project_last,
-)
+from .deformed import build_deformed_cube, common_epsilon, cube_vertices_labeled, project_last
 from .errors import ConstructionError
 from .polytope import IncidenceStructure, face_masks, facets_from_vrep
 
@@ -90,19 +84,15 @@ def upper_face_subdivision(n, d):
     whose outward normal is positive in that coordinate project to cells
     tiling the d-polytope.  The projection is injective on each such facet,
     so a cell's faces are read from the (d+1)-polytope's face lattice.
-    Verifies the tiling and that no face of dimension <= floor(d/2)-1 is
-    interior; returns the cell complex.
+    Both shadows come from one cube, at the largest eps of the ladder that
+    certifies both.  Verifies the tiling and that no face of dimension
+    <= floor(d/2)-1 is interior; returns the cell complex.
     """
     if d < 2 or n < d + 1:
         raise ValueError("need n >= d+1 and d >= 2")
-    # one eps must certify both shadows; halving walks down choose_epsilon's range
-    eps = choose_epsilon(n, d + 1)
-    while not (certify_epsilon(n, d, eps) and certify_epsilon(n, d + 1, eps)):
-        eps /= 2
-        if eps < Fraction(1, 2 ** 64):
-            raise ConstructionError("no certified epsilon found down to 2^-64")
+    eps = common_epsilon(n, [d, d + 1])
     # both shadows come from one cube, so vertex i is the same in each
-    cube = cube_vertices_labeled(n, eps)
+    cube = cube_vertices_labeled(build_deformed_cube(n, eps))
     inc_upper = facets_from_vrep(project_last(cube, d + 1))
     lower = project_last(cube, d)
     inc_lower = facets_from_vrep(lower)

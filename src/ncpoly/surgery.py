@@ -42,7 +42,7 @@ def boundary_complex() -> CubicalComplex:
 def _quad_between():
     ab = FACET_A & FACET_B
     bc = FACET_B & FACET_C
-    if not ab or not bc or FACET_A & FACET_C:
+    if ab.bit_count() != 4 or bc.bit_count() != 4 or FACET_A & FACET_C:
         raise ConstructionError("the three facets do not form a chain")
     return ab, bc
 

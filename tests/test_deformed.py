@@ -14,7 +14,7 @@ from ncpoly.deformed import (
     build_deformed_cube,
     certify_epsilon,
     choose_epsilon,
-    constraint_row,
+    common_epsilon,
     cube_vertices_labeled,
     deformation_columns,
     deformation_rows,
@@ -233,14 +233,14 @@ def test_choose_epsilon_regression_constants():
 
 
 def test_labels_are_tight_sign_patterns():
-    v = cube_vertices_labeled(3, Fraction(1, 4))
+    v = cube_vertices_labeled(build_deformed_cube(3, Fraction(1, 4)))
     assert len(v.points) == 8
     assert len(set(v.labels)) == 8
     assert all(set(lab) <= {-1, 1} for lab in v.labels)
 
 
 def test_project_last_identity_when_n_equals_d():
-    v = cube_vertices_labeled(3, Fraction(1, 4))
+    v = cube_vertices_labeled(build_deformed_cube(3, Fraction(1, 4)))
     p = project_last(v, 3)
     assert p.points == v.points and p.labels == v.labels
 
@@ -339,6 +339,31 @@ def test_choose_epsilon_matches_recorded_exponents_past_twelve(n, d):
     assert choose_epsilon(n, d) == Fraction(1, 2 ** EPS_EXPONENT_SLOW[n, d])
 
 
+def _halving_walk(n, d):
+    # the eps search upper_face_subdivision made before common_epsilon:
+    # start where (n, d+1) certifies, halve until (n, d) certifies as well
+    eps = choose_epsilon(n, d + 1)
+    while not (certify_epsilon(n, d, eps) and certify_epsilon(n, d + 1, eps)):
+        eps /= 2
+        if eps < Fraction(1, 2 ** 64):
+            raise ConstructionError("no certified epsilon found down to 2^-64")
+    return eps
+
+
+def test_common_epsilon_matches_the_halving_walk():
+    for n in range(3, 10):
+        for d in range(2, n):
+            assert common_epsilon(n, [d, d + 1]) == _halving_walk(n, d), (n, d)
+    assert common_epsilon(7, [3, 4]) == Fraction(1, 8)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [10, 11])
+def test_common_epsilon_matches_the_halving_walk_past_nine(n):
+    for d in range(2, n):
+        assert common_epsilon(n, [d, d + 1]) == _halving_walk(n, d), (n, d)
+
+
 def _fraction_amatrix_row(n, d, k, sigma, eps):
     # the deformation-matrix row over the rationals, written out separately
     width = n - d
@@ -352,8 +377,9 @@ def _fraction_amatrix_row(n, d, k, sigma, eps):
 
 def test_integer_rows_are_the_cleared_rational_rows():
     # the integer row is the rational row times the lcm of its denominators;
-    # at d = 0 its rational view is the cube's normal vector.  One call
-    # returns the requested rows in the requested order, singly or together.
+    # at d = 0 its rational view is the cube's normal vector, beside the
+    # right-hand side 2^C(k,2)/eps^(k-1).  One call returns the requested
+    # rows in the requested order, singly or together.
     rng = random.Random(5150)
     dyadic = [Fraction(1, 2 ** e) for e in rng.sample(range(1, 65), 4)]
     for eps in [Fraction(0), Fraction(1), Fraction(3, 37), Fraction(2, 9), *dyadic]:
@@ -364,9 +390,13 @@ def test_integer_rows_are_the_cleared_rational_rows():
                 assert deformation_rows(n, d, signed, eps) == want, (n, d, eps)
                 for (k, sigma), row in zip(signed, want):
                     assert deformation_rows(n, d, [(k, sigma)], eps) == [row], (n, d, k, sigma, eps)
-            for k, sigma in signed:
-                want = _fraction_amatrix_row(n, 0, k, sigma, eps)
-                assert constraint_row(n, k, sigma, eps) == want
+            if eps:
+                want = [
+                    (_fraction_amatrix_row(n, 0, k, sigma, eps), Fraction(2 ** comb(k, 2)) / eps ** (k - 1))
+                    for k in range(1, n + 1)
+                    for sigma in (-1, 1)
+                ]
+                assert list(build_deformed_cube(n, eps).inequalities) == want, (n, eps)
 
 
 def test_rows_are_the_transposed_columns():

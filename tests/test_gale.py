@@ -291,7 +291,7 @@ def _tight_label_sets(n):
 
     eps = choose_epsilon(n, n)
     h = build_deformed_cube(n, eps)
-    v = cube_vertices_labeled(n, eps)
+    v = cube_vertices_labeled(h)
     out = set()
     for normal, rhs in h.inequalities:
         tight = frozenset(

@@ -19,7 +19,6 @@ from ncpoly.polytope import (
     HPolytope,
     IncidenceStructure,
     VPolytope,
-    canonical_inequality,
     f_vector,
     face_lattice,
     face_masks,
@@ -31,6 +30,13 @@ from ncpoly.polytope import (
     vertices_from_hrep,
 )
 from test_linalg import left_kernel
+
+
+def canonical_inequality(normal, rhs):
+    """Primitive integer form of normal . x <= rhs (positive scaling only):
+    the reference for the inequalities ``facets_from_vrep`` writes."""
+    row = primitive(int_row((*normal, rhs)))
+    return tuple(row[:-1]), row[-1]
 
 
 def unit_square():

@@ -3,9 +3,15 @@ from itertools import product
 
 import pytest
 
-from ncpoly import signvec, skeleton
+from ncpoly import deformed, signvec, skeleton
 from ncpoly.complexes import CubicalComplex, from_cube_facets
-from ncpoly.deformed import certify_epsilon, choose_epsilon, cube_vertices_labeled, project_last
+from ncpoly.deformed import (
+    build_deformed_cube,
+    certify_epsilon,
+    choose_epsilon,
+    cube_vertices_labeled,
+    project_last,
+)
 from ncpoly.errors import ConstructionError
 from ncpoly.polytope import (
     IncidenceStructure,
@@ -279,7 +285,7 @@ def _per_cell_hull_faces(n, d):
     eps = choose_epsilon(n, d + 1)
     while not certify_epsilon(n, d, eps):
         eps = eps / 2
-    cube = cube_vertices_labeled(n, eps)
+    cube = cube_vertices_labeled(build_deformed_cube(n, eps))
     inc_upper = facets_from_vrep(project_last(cube, d + 1))
     lower = project_last(cube, d)
     cells = [
@@ -318,35 +324,52 @@ def test_upper_face_subdivision_needs_room():
 
 
 def test_upper_face_subdivision_eps_walk_is_bounded(monkeypatch):
-    # a certificate that never passes stops at choose_epsilon's floor
+    # a minor that never keeps its sign stops the ladder at 2^-64; the walk
+    # is deformed.common_epsilon's, over the tables of both shadows
     tried = []
 
-    def never(n, d, eps):
+    def never(coeffs, eps):
         tried.append(eps)
         return False
 
-    monkeypatch.setattr(skeleton, "certify_epsilon", never)
+    monkeypatch.setattr(deformed, "_keeps_sign", never)
     with pytest.raises(ConstructionError, match=r"^no certified epsilon found down to 2\^-64$"):
         upper_face_subdivision(5, 4)
     assert tried == [Fraction(1, 2 ** e) for e in range(1, 65)]
 
 
 def test_upper_face_subdivision_halves_until_both_shadows_certify(monkeypatch):
-    # (5,3) first passes at 1/4, where (5,4) fails; both pass at 1/8
+    # (5,3) first passes at 1/4, where (5,4) fails; both pass at 1/8.  Each
+    # stand-in table is one entry naming its d.
     class Stop(Exception):
         pass
 
-    def certify(n, d, eps):
+    def certify(d, eps):
         return eps <= Fraction(1, 4) if d == 3 else eps != Fraction(1, 4)
 
     def stop(n, eps):
         raise Stop(eps)
 
-    monkeypatch.setattr(skeleton, "certify_epsilon", certify)
-    monkeypatch.setattr(skeleton, "cube_vertices_labeled", stop)
+    monkeypatch.setattr(deformed, "_minor_table", lambda n, d: [d])
+    monkeypatch.setattr(deformed, "_keeps_sign", certify)
+    monkeypatch.setattr(skeleton, "build_deformed_cube", stop)
     with pytest.raises(Stop) as got:
         upper_face_subdivision(5, 3)
     assert got.value.args == (Fraction(1, 8),)
+
+
+def test_upper_face_subdivision_builds_each_minor_table_once(monkeypatch):
+    # one table per shadow, however many eps the ladder tries (1/2 .. 1/8)
+    built = []
+    original = deformed._minor_table
+
+    def counted(n, d):
+        built.append((n, d))
+        return original(n, d)
+
+    monkeypatch.setattr(deformed, "_minor_table", counted)
+    upper_face_subdivision(7, 3)
+    assert sorted(built) == [(7, 3), (7, 4)]
 
 
 # (5,2) and (6,3) halve the eps that certifies (n, d+1) before (n, d) passes

@@ -555,6 +555,25 @@ def test_intersection_lemma_matches_reference_on_every_chain(monkeypatch):
     assert CHAIN in [t for t, ok in zip(chains, outcomes) if ok]
 
 
+def test_a_chain_meeting_in_an_edge_is_refused(monkeypatch):
+    # consecutive chain facets must share a quad: here A and B of the
+    # boundary of (6,4) share only an edge, B and C a quad, A and C nothing
+    facets = boundary_facets()
+    chain = next(
+        (a, b, c)
+        for a in facets
+        for b in facets
+        if (a & b).bit_count() == 2
+        for c in facets
+        if (b & c).bit_count() == 4 and not a & c
+    )
+    for name, f in zip(("FACET_A", "FACET_B", "FACET_C"), chain):
+        monkeypatch.setattr(surgery, name, f)
+    for call in (intersection_lemma_check, build_psi, chain_edge_facet_degrees):
+        with pytest.raises(ConstructionError, match="^the three facets do not form a chain$"):
+            call()
+
+
 def test_lemma_refuses_a_facet_through_an_inner_quad(monkeypatch):
     # the 3-face 0+0++0 holds the quad A-B of the chain, so it meets the
     # chain boundary in that quad's four edges, not in one face; it touches

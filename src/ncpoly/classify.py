@@ -176,32 +176,37 @@ def ubc_polytope_case(d) -> UBCReport:
     triples = valid_triples(d)
     neighborly = neighborly_triples(d)
     failures = []
+    seen = {}  # the checks name most deltas more than once; compute each once
+
+    def dl(*key):
+        return seen[key] if key in seen else seen.setdefault(key, delta(*key))
+
     checked = 0
     for i in range(0, d + 2):
         for (k, l, m) in triples:
             if k > m:
                 checked += 1
-                if delta(i, k, l, m) < delta(i, k - 1, l, m + 1):
+                if dl(i, k, l, m) < dl(i, k - 1, l, m + 1):
                     failures.append(("shift-pair", i, (k, l, m)))
             if l >= 2:
                 checked += 1
-                if delta(i, k, l, m) < delta(i, k + 1, l - 2, m + 1):
+                if dl(i, k, l, m) < dl(i, k + 1, l - 2, m + 1):
                     failures.append(("split-l", i, (k, l, m)))
             if l == 2 and k > m:
                 checked += 1
-                if delta(i, k, 2, m) < delta(i, k, 1, m + 1):
+                if dl(i, k, 2, m) < dl(i, k, 1, m + 1):
                     failures.append(("drop-l2", i, (k, l, m)))
             if l == 2 and k == m:
                 checked += 1
-                if delta(i, k, 2, k) != delta(i, k + 1, 1, k):
+                if dl(i, k, 2, k) != dl(i, k + 1, 1, k):
                     failures.append(("tie", i, (k, l, m)))
     minimizers = {}
     for i in range(2, d + 2):
-        best = min(delta(i, *t) for t in triples)
-        argmin = [t for t in triples if delta(i, *t) == best]
+        best = min(dl(i, *t) for t in triples)
+        argmin = [t for t in triples if dl(i, *t) == best]
         minimizers[i] = argmin
         for t in neighborly:
-            if delta(i, *t) != best:
+            if dl(i, *t) != best:
                 failures.append(("neighborly-not-minimal", i, t))
     report = UBCReport(d, checked, failures, minimizers, neighborly)
     if failures:

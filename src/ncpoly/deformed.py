@@ -95,15 +95,26 @@ def build_deformed_cube(n, epsilon) -> HPolytope:
 def _minor_table(n, d):
     """The eps-free coefficients c_S of the maximal minor of each
     (n-d)-subset of rows 2..n, S a bitmask over its first m rows (those
-    k <= n-d), one list per subset as the caller reads them."""
+    k <= n-d), one list per subset as the caller reads them.  Row i in S is
+    the unit vector at column k_i - 1; expanding along those rows (Laplace)
+    leaves (-1)^(sum of i + k_i - 1 over S) times the eps = 0 minor of the
+    other rows without those columns, as k_i increases with i."""
     if not n >= d >= 2:
         raise ValueError("need n >= d >= 2")
     width = n - d
     at_zero = deformation_rows(n, d, [(k, 1) for k in range(1, n + 1)], 0)
-    unit = [tuple(int(j == k - 1) for j in range(width)) for k in range(1, n + 1)]
+
+    def coefficient(rows, s):
+        unit = [i for i in range(width) if s >> i & 1]
+        cut = {rows[i] - 1 for i in unit}
+        keep = [j for j in range(width) if j not in cut]
+        minor = bareiss_det(
+            [[at_zero[k - 1][j] for j in keep] for i, k in enumerate(rows) if not s >> i & 1]
+        )
+        return -minor if sum(unit) + sum(cut) & 1 else minor
+
     return (
-        [bareiss_det([unit[k - 1] if s >> i & 1 else at_zero[k - 1] for i, k in enumerate(rows)])
-         for s in range(2 ** sum(k <= width for k in rows))]
+        [coefficient(rows, s) for s in range(2 ** sum(k <= width for k in rows))]
         for rows in combinations(range(2, n + 1), width)
     )
 

@@ -13,10 +13,10 @@ exactly when
 
 The closed-form count and the positive-circuit test over the deformation
 matrix give two independent routes to the same facet set.  The circuit test
-builds the columns of the label's n-d+1 rows (``deformation_columns``) and
-back-substitutes the rows' left kernel, the columns' right kernel, over one
-``echelon``, stopping at its first entry that is not positive; nothing is
-kept from one label to the next.
+checks the label's rows with one set, builds their columns
+(``deformation_columns``), and back-substitutes the rows' left kernel, the
+columns' right kernel, over one ``echelon`` list, stopping at its first
+entry that is not positive; nothing is kept from one label to the next.
 """
 
 from itertools import combinations, product
@@ -62,7 +62,9 @@ def facets_gale(n, d):
                 out.append(
                     frozenset(prefix + [sigma * p] + [s * k for s, k in zip(signs, tail)])
                 )
-    out.sort(key=lambda a: signvec.lex_key(to_sign_vector(a, n)))
+    # sign-vector order (- < 0 < +) is base-3 order, digit 1 + sign at k
+    weight = {s * k: s * 3 ** (n - k) for k in range(1, n + 1) for s in (-1, 1)}
+    out.sort(key=lambda a: sum(map(weight.__getitem__, a)))
     return out
 
 
@@ -80,24 +82,23 @@ def _positive_circuit(n, d, signed_rows, epsilon) -> bool:
     left-kernel vector.  Its free entry is |prod of pivots| > 0, so the test
     fails at the first other entry that is not positive.  Raises ValueError
     unless the k are n-d+1 distinct indices in 1..n."""
-    rows = [k for k, _ in signed_rows]
-    if len(rows) != n - d + 1:
+    ks = {k for k, _ in signed_rows}
+    if len(signed_rows) != n - d + 1:
         raise ValueError("need exactly n-d+1 rows")
-    if (rows and not (0 < min(rows) and max(rows) <= n)) or len(set(rows)) != len(rows):
+    if len(ks) != len(signed_rows) or (ks and not (0 < min(ks) and max(ks) <= n)):
         raise ValueError(f"row indices must be distinct and lie in 1..{n}")
     red = echelon(deformation_columns(n, d, signed_rows, epsilon))
     if len(red) != n - d:
         return False
-    # the n-d pivots are distinct, so the free column is the one missing
-    # from their sum
+    # the free column is the one missing from the sum of the n-d pivots
     free = (n - d + 1) * (n - d) // 2
     scale = 1
-    for prow, pc in red.values():
+    for _, prow, pc in red:
         free -= pc
         scale *= prow[pc]
     u = [0] * (n - d + 1)
     u[free] = abs(scale)
-    for prow, pc in reversed(red.values()):
+    for _, prow, pc in reversed(red):
         q, rem = divmod(-sum(map(mul, prow, u)), prow[pc])
         if rem:
             raise ArithmeticError("non-integral back-substitution")

@@ -4,8 +4,8 @@ These are the kernels behind the eps certificate, the positive-circuit test
 and the hull.  Everything works on plain Python integers (arbitrary
 precision), with fraction-free eliminations (Bareiss 1968) so intermediate
 values stay integral.  Determinants come from ``bareiss_det``; rank and
-kernels come from the one ``echelon`` routine (a left kernel is the right
-kernel of the columns).
+kernels come from the one ``echelon`` routine, a flat list of (index, row,
+pivot column) triples (a left kernel is the right kernel of the columns).
 Rational rows enter through ``int_row``.  The innermost loops (the content
 gcd, the back-substitution dot product) are single calls into C builtins,
 and a row is divided by its content once, only when that is above 1.
@@ -79,12 +79,14 @@ def echelon(rows):
     Each row is reduced against the rows kept before it by cross-multiplying,
     then divided by its content.  It is kept when a nonzero entry remains,
     with its first nonzero column as pivot.
-    Returns {index in ``rows``: (reduced row, pivot column)} in input order,
-    so its length is the rank.  Stops once the rank equals the row width.
+    Returns a list of (index in ``rows``, reduced row, pivot column) in input
+    order, so its length is the rank; a kept row that needed no reduction is
+    the input row itself, not a copy.  Stops once the rank equals the row
+    width.
     """
-    red = {}
+    red = []
     for i, res in enumerate(rows):
-        for prow, pc in red.values():
+        for _, prow, pc in red:
             t = res[pc]
             if t:
                 pv = prow[pc]
@@ -96,7 +98,7 @@ def echelon(rows):
             pc = 0
             while not res[pc]:
                 pc += 1
-            red[i] = tuple(res), pc
+            red.append((i, res, pc))
             if len(red) == len(res):
                 break
     return red
@@ -113,12 +115,12 @@ def echelon_kernel(red, width):
     # missing from their sum
     free = width * (width - 1) // 2
     scale = 1
-    for prow, pc in red.values():
+    for _, prow, pc in red:
         free -= pc
         scale *= prow[pc]
     u = [0] * width
     u[free] = scale if scale > 0 else -scale
-    for prow, pc in reversed(red.values()):
+    for _, prow, pc in reversed(red):
         # u[pc] is still 0 here, so the pivot column adds nothing
         q, rem = divmod(-sum(map(mul, prow, u)), prow[pc])
         if rem:

@@ -129,7 +129,7 @@ def _extreme_rays(rows, width):
     of row indices on which it vanishes.  Returns None when the rows have
     rank below ``width``, so the cone is not pointed.
     """
-    basis = list(echelon(rows))
+    basis = [i for i, _, _ in echelon(rows)]
     if len(basis) < width:
         return None
     rays, zeros = [], []
@@ -192,7 +192,7 @@ def vertices_and_tight_sets(h: HPolytope):
         # normal . x sees only x's part in the normals' row space, so the
         # system in coordinates z of an echelon basis of that space is
         # feasible exactly when this one is; its cone is pointed
-        basis = [e for e, _ in echelon([c[:d] for c in cone]).values()]
+        basis = [e for _, e, _ in echelon([c[:d] for c in cone])]
         sub = [tuple(sum(a * b for a, b in zip(c, e)) for e in basis) + (c[d],) for c in cone]
         if any(ray[-1] for ray, _ in _extreme_rays(sub, len(basis) + 1)):
             raise UnboundedPolytopeError("normals do not span; feasible set has a line")

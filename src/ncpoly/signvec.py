@@ -13,8 +13,6 @@ from math import comb
 
 CHARS = {-1: "-", 0: "0", 1: "+"}
 VALUES = {"-": -1, "0": 0, "+": 1}
-# lexicographic face order used throughout: - < 0 < +
-LEX = {-1: 0, 0: 1, 1: 2}
 
 
 def parse(text):
@@ -27,10 +25,6 @@ def parse(text):
 
 def fmt(sv):
     return "".join(CHARS[s] for s in sv)
-
-
-def lex_key(sv):
-    return tuple(LEX[s] for s in sv)
 
 
 def zero_positions(sv):

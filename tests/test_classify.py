@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from ncpoly import signvec
+from ncpoly import classify, signvec
 from ncpoly.classify import (
     CUBICAL_WITNESS_POINTS,
     NONCUBICAL_WITNESS_POINTS,
@@ -154,6 +154,21 @@ def test_ubc_relations_and_minimizer(d):
     for i, argmin in report.minimizers.items():
         for t in report.neighborly:
             assert t in argmin
+
+
+def test_ubc_computes_each_delta_once(monkeypatch):
+    # the relations and the minimizers name many deltas more than once; a
+    # call computes each of them once and reports the same
+    for d in (4, 7, 12):
+        want = ubc_polytope_case(d)
+        calls = []
+        monkeypatch.setattr(classify, "delta", lambda *key: calls.append(key) or delta(*key))
+        got = ubc_polytope_case(d)
+        monkeypatch.undo()
+        assert calls and len(calls) == len(set(calls))
+        assert (got.checked, got.failures, got.minimizers, got.neighborly) == (
+            want.checked, want.failures, want.minimizers, want.neighborly
+        )
 
 
 def test_ubc_d4_maximizer_is_neighborly():

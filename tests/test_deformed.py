@@ -502,6 +502,25 @@ def test_minor_table_transform_is_every_signed_minor():
                     assert _signed_minors(coeffs, Fraction(eps)) == want, (n, d, rows, eps)
 
 
+def _full_matrix_minor_table(n, d):
+    # the table's defining form: c_S is the full (n-d) x (n-d) eps = 0 minor
+    # with the rows in S replaced by their unit vectors
+    width = n - d
+    at_zero = deformation_rows(n, d, [(k, 1) for k in range(1, n + 1)], 0)
+    unit = [tuple(int(j == k - 1) for j in range(width)) for k in range(1, n + 1)]
+    return [
+        [bareiss_det([unit[k - 1] if s >> i & 1 else at_zero[k - 1] for i, k in enumerate(rows)])
+         for s in range(2 ** sum(k <= width for k in rows))]
+        for rows in combinations(range(2, n + 1), width)
+    ]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_minor_table_expands_the_unit_rows_away(n):
+    for d in range(2, n + 1):
+        assert list(_minor_table(n, d)) == _full_matrix_minor_table(n, d), (n, d)
+
+
 def test_zero_eps_free_minor_refuses_before_any_transform(monkeypatch):
     # a zero eps = 0 minor refuses every eps at once; the transform would
     # refuse it too, since its 2^m values sum to (2q)^m c_0 = 0

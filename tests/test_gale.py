@@ -54,10 +54,19 @@ def test_labels_are_valid_and_distinct():
             assert not (alpha & {-a for a in alpha})
 
 
+def _lex_key(sv):
+    # the sign-vector face order: - < 0 < +, lexicographic
+    return tuple({-1: 0, 0: 1, 1: 2}[s] for s in sv)
+
+
 def test_enumeration_order_is_sign_vector_lex():
     out = facets_gale(6, 4)
-    keys = [signvec.lex_key(to_sign_vector(a, 6)) for a in out]
+    keys = [_lex_key(to_sign_vector(a, 6)) for a in out]
     assert keys == sorted(keys)
+    for n in range(2, 10):
+        for d in range(2, n + 1):
+            keys = [_lex_key(to_sign_vector(a, n)) for a in facets_gale(n, d)]
+            assert keys == sorted(set(keys)), (n, d)
 
 
 def test_chain_facet_sign_vectors():
@@ -168,6 +177,24 @@ def test_positive_circuit_equivalence_small():
                     assert (alpha in facets) == alpha_is_positive_circuit(
                         n, d, alpha, eps
                     ), (n, d, alpha)
+
+
+def test_positive_circuit_is_facet_membership_at_n9():
+    # every signed label of every (9, d), at the certified eps: the circuit
+    # verdict is membership in facets_gale (test_acceptance's criterion 10
+    # covers n <= 8)
+    n = 9
+    for d in range(2, n + 1):
+        eps = choose_epsilon(n, d)
+        facets = set(facets_gale(n, d))
+        size = n - d + 1
+        circuits = set()
+        for support in combinations(range(1, n + 1), size):
+            for signs in product((-1, 1), repeat=size):
+                alpha = frozenset(s * k for s, k in zip(signs, support))
+                if alpha_is_positive_circuit(n, d, alpha, eps):
+                    circuits.add(alpha)
+        assert circuits == facets, (n, d)
 
 
 @pytest.mark.parametrize(

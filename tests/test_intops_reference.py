@@ -146,12 +146,13 @@ def test_echelon_is_a_primitive_echelon_basis(rows):
     red = echelon(rows)
     rank = _sympy_matrix(rows, width).rank()
     assert len(red) == rank
-    assert list(red) == sorted(red)
-    assert all(0 <= i < len(rows) for i in red)
-    pivots = [pc for _, pc in red.values()]
+    indices = [i for i, _, _ in red]
+    assert indices == sorted(set(indices))
+    assert all(0 <= i < len(rows) for i in indices)
+    pivots = [pc for _, _, pc in red]
     assert len(set(pivots)) == len(pivots)
-    kept = [row for row, _ in red.values()]
-    for row, pc in red.values():
+    kept = [row for _, row, _ in red]
+    for _, row, pc in red:
         assert len(row) == width
         assert gcd(*row) == 1
         assert row[pc] and not any(row[:pc])

@@ -237,11 +237,11 @@ def test_echelon_kernel_matches_fraction_elimination():
         for row in rows:
             assert sum(a * b for a, b in zip(row, u)) == 0
         # rational route: solve with the free column pinned to 1
-        pivots = {pc for _, pc in red.values()}
+        pivots = {pc for _, _, pc in red}
         free = next(c for c in range(width) if c not in pivots)
         x = [Fraction(0)] * width
         x[free] = Fraction(1)
-        for row, pc in reversed(red.values()):
+        for _, row, pc in reversed(red):
             x[pc] = -sum(Fraction(row[j]) * x[j] for j in range(width) if j != pc) / row[pc]
         scale = next(Fraction(u[i]) / x[i] for i in range(width) if x[i])
         assert all(Fraction(u[i]) == scale * x[i] for i in range(width))

@@ -18,7 +18,7 @@ as vertex bitmasks (``face_masks``), the face format of ``complexes``;
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import or_
+from operator import mul, or_
 
 from .errors import (
     DimensionError,
@@ -123,7 +123,20 @@ def _extreme_rays(rows, width):
     rays on its nonnegative side and adds the primitive combination of
     every adjacent pair it separates.  Rays p and q are adjacent exactly
     when their common zero set Z has at least width-2 rows and no third ray
-    vanishes on all of Z.  ``rows`` are integer vectors of length ``width``.
+    vanishes on all of Z.
+
+    That test looks for no third ray when Z_p or Z_q has exactly width-1
+    rows: an extreme ray's zero set has rank width-1, so those rows are
+    independent, and the width-2 rows of Z bound a 2-face whose only rays
+    are p and q.  This covers every vertex of a simple H-polytope and every
+    facet of a simplicial hull.  Otherwise the third ray is looked up in
+    ``holders``, the bitmask of the rays that vanish on each row.  A ray
+    keeps the id it was made with, and ids grow in creation order, which is
+    also the order of the ray list, so the index is only ever added to: a
+    cut ORs each new ray into the rows it vanishes on, and the rays it drops
+    leave ``live``.  The live rays that vanish on all of Z are the AND of
+    Z's rows, taken until only p and q are left.  ``rows`` are integer
+    vectors of length ``width``.
 
     Returns (ray, zero set) pairs: a primitive integer ray and the frozenset
     of row indices on which it vanishes.  Returns None when the rows have
@@ -135,32 +148,61 @@ def _extreme_rays(rows, width):
     rays, zeros = [], []
     for i in basis:
         ray = echelon_kernel(echelon([rows[j] for j in basis if j != i]), width)
-        if sum(a * b for a, b in zip(rows[i], ray)) < 0:
+        if sum(map(mul, rows[i], ray)) < 0:
             ray = tuple(-x for x in ray)
         rays.append(ray)
         zeros.append(sum(1 << j for j in basis if j != i))
 
+    ids = list(range(width))
+    live, next_id = (1 << width) - 1, width
+    holders = [0] * len(rows)
+    for t, j in enumerate(basis):
+        holders[j] = live ^ 1 << t
     in_basis = set(basis)
     for k, row in enumerate(rows):
         if k in in_basis:
             continue
-        vals = [sum(a * b for a, b in zip(row, ray)) for ray in rays]
+        vals = [sum(map(mul, row, ray)) for ray in rays]
         pos = [i for i, s in enumerate(vals) if s > 0]
-        neg = [i for i, s in enumerate(vals) if s < 0]
+        neg = [(i, zeros[i]) for i, s in enumerate(vals) if s < 0]
         new_rays, new_zeros = [], []
         for p in pos:
-            for q in neg:
-                common = zeros[p] & zeros[q]
+            zp = zeros[p]
+            p_simple = zp.bit_count() == width - 1
+            for q, zq in neg:
+                common = zp & zq
                 if common.bit_count() < width - 2:
                     continue
-                if any(z & common == common for i, z in enumerate(zeros) if i != p and i != q):
-                    continue
+                if not p_simple and zq.bit_count() != width - 1:
+                    pair = 1 << ids[p] | 1 << ids[q]
+                    alive, rest = live, common
+                    while alive != pair and rest:
+                        j = rest.bit_length() - 1
+                        alive &= holders[j]
+                        rest ^= 1 << j
+                    if alive != pair:
+                        continue
                 sp, sq = vals[p], vals[q]
                 new_rays.append(primitive([sp * b - sq * a for a, b in zip(rays[p], rays[q])]))
                 new_zeros.append(common | 1 << k)
         keep = [i for i, s in enumerate(vals) if s >= 0]
+        for q, _ in neg:
+            live ^= 1 << ids[q]
+        for i in keep:
+            if not vals[i]:
+                holders[k] |= 1 << ids[i]
+        first = next_id
+        for z in new_zeros:
+            bit = 1 << next_id
+            live |= bit
+            next_id += 1
+            while z:
+                j = z.bit_length() - 1
+                holders[j] |= bit
+                z ^= 1 << j
         rays = [rays[i] for i in keep] + new_rays
         zeros = [zeros[i] | (1 << k if vals[i] == 0 else 0) for i in keep] + new_zeros
+        ids = [ids[i] for i in keep] + list(range(first, next_id))
     return [(ray, members(z)) for ray, z in zip(rays, zeros)]
 
 
@@ -260,29 +302,39 @@ def face_masks(inc: IncidenceStructure):
     faces one dimension below a face F are the maximal proper nonempty
     intersections of F with the facets (all of them, with no scan, when
     they have one size, as on cubical and simplicial polytopes: two
-    distinct sets of one size never nest).  A polytope's face lattice is
-    graded, so every face is reached at one depth only, and its dimension
-    is the depth of the vertices minus its own.  The keys run from 0 to d-1
-    with no gap.
+    distinct sets of one size never nest).  Only the facets that cut F,
+    meeting it without holding it, give such an intersection, and each of
+    them also cuts every face that holds F.  So a face is cut only by the
+    cutters of the face it was reached from, filtered to its own; the
+    faces below it inherit that filtered list, and only the lists of the
+    level being cut are kept.  A polytope's face lattice is graded, so
+    every face is reached at one depth only, and its dimension is the
+    depth of the vertices minus its own.  The keys run from 0 to d-1 with
+    no gap.
     """
     if inc._lattice is None:
         facets = [sum(1 << i for i in f) for f in inc.incidence]
-        levels = [frozenset(facets)]
-        while True:
-            below = set()
-            for f in levels[-1]:
-                # larger cuts first, so a cut is maximal when no kept one holds it
-                cuts = sorted({f & g for g in facets} - {0, f}, key=int.bit_count, reverse=True)
-                if cuts and cuts[-1].bit_count() < cuts[0].bit_count():
+        # each face of the level -> a list that holds every facet cutting it
+        level = dict.fromkeys(facets, facets)
+        levels = []
+        while level:
+            levels.append(frozenset(level))
+            below = {}
+            for f, inherited in level.items():
+                cutters = [g for g in inherited if 0 != f & g != f]
+                cuts = {f & g for g in cutters}
+                if len(set(map(int.bit_count, cuts))) > 1:
+                    # larger cuts first, so a cut is maximal when no kept one holds it
                     kept = []
-                    for cut in cuts:
-                        if all(cut & k != cut for k in kept):
+                    for cut in sorted(cuts, key=int.bit_count, reverse=True):
+                        for k in kept:
+                            if cut & k == cut:
+                                break
+                        else:
                             kept.append(cut)
                     cuts = kept
-                below.update(cuts)
-            if not below:
-                break
-            levels.append(frozenset(below))
+                below.update(dict.fromkeys(cuts, cutters))
+            level = below
         top = len(levels) - 1
         inc._lattice = {top - depth: levels[depth] for depth in range(top, -1, -1)}
     return inc._lattice

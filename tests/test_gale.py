@@ -165,20 +165,6 @@ def test_alpha_circuit_rejects_bad_labels(alpha):
         alpha_is_positive_circuit(5, 2, alpha, Fraction(1, 4))
 
 
-def test_positive_circuit_equivalence_small():
-    for n in range(2, 7):
-        for d in range(2, n + 1):
-            eps = choose_epsilon(n, d)
-            facets = set(facets_gale(n, d))
-            size = n - d + 1
-            for support in combinations(range(1, n + 1), size):
-                for signs in product((-1, 1), repeat=size):
-                    alpha = frozenset(s * k for s, k in zip(signs, support))
-                    assert (alpha in facets) == alpha_is_positive_circuit(
-                        n, d, alpha, eps
-                    ), (n, d, alpha)
-
-
 def test_positive_circuit_is_facet_membership_at_n9():
     # every signed label of every (9, d), at the certified eps: the circuit
     # verdict is membership in facets_gale (test_acceptance's criterion 10

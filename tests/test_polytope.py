@@ -1,12 +1,15 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
-from ncpoly import classify
+from ncpoly import classify, polytope
 from ncpoly.deformed import build_deformed_cube, projected_cube
 from ncpoly.errors import (
     EmptyPolytopeError,
@@ -14,11 +17,12 @@ from ncpoly.errors import (
     SpanError,
     UnboundedPolytopeError,
 )
-from ncpoly.intops import echelon, int_row, primitive
+from ncpoly.intops import echelon, echelon_kernel, int_row, primitive
 from ncpoly.polytope import (
     HPolytope,
     IncidenceStructure,
     VPolytope,
+    _extreme_rays,
     f_vector,
     face_lattice,
     face_masks,
@@ -604,5 +608,166 @@ def test_face_masks_match_face_lattice():
         masks = face_masks(inc)
         assert all(type(level) is frozenset for level in masks.values())
         assert list(face_lattice(inc).items()) == list(_frozenset_view(inc).items())
+        assert masks == all_facets_face_masks(inc)
         # the masks are the one lattice the structure stores
         assert inc._lattice is masks and face_masks(inc) is masks
+
+
+# ---------------------------------------------------------------------------
+# the hull and the lattice against the full-scan forms they replace
+# ---------------------------------------------------------------------------
+
+
+def _full_scan_extreme_rays(rows, width, branches=None):
+    """Reference for ``polytope._extreme_rays``: the same double description
+    with the combinatorial adjacency test run as a scan of every current ray
+    for one that vanishes on the pair's common zero set.  ``branches``, when
+    given, counts the pairs that reach the test by the branch the library
+    takes: "simple" when either zero set has width-1 rows, else "indexed"."""
+    basis = [i for i, _, _ in echelon(rows)]
+    if len(basis) < width:
+        return None
+    rays, zeros = [], []
+    for i in basis:
+        ray = echelon_kernel(echelon([rows[j] for j in basis if j != i]), width)
+        if sum(a * b for a, b in zip(rows[i], ray)) < 0:
+            ray = tuple(-x for x in ray)
+        rays.append(ray)
+        zeros.append(sum(1 << j for j in basis if j != i))
+    in_basis = set(basis)
+    for k, row in enumerate(rows):
+        if k in in_basis:
+            continue
+        vals = [sum(a * b for a, b in zip(row, ray)) for ray in rays]
+        pos = [i for i, s in enumerate(vals) if s > 0]
+        neg = [i for i, s in enumerate(vals) if s < 0]
+        new_rays, new_zeros = [], []
+        for p in pos:
+            for q in neg:
+                common = zeros[p] & zeros[q]
+                if common.bit_count() < width - 2:
+                    continue
+                if branches is not None:
+                    simple = width - 1 in (zeros[p].bit_count(), zeros[q].bit_count())
+                    branches["simple" if simple else "indexed"] += 1
+                if any(z & common == common for i, z in enumerate(zeros) if i != p and i != q):
+                    continue
+                sp, sq = vals[p], vals[q]
+                new_rays.append(primitive([sp * b - sq * a for a, b in zip(rays[p], rays[q])]))
+                new_zeros.append(common | 1 << k)
+        keep = [i for i, s in enumerate(vals) if s >= 0]
+        rays = [rays[i] for i in keep] + new_rays
+        zeros = [zeros[i] | (1 << k if vals[i] == 0 else 0) for i in keep] + new_zeros
+    return [(ray, frozenset(i for i in range(len(rows)) if z >> i & 1)) for ray, z in zip(rays, zeros)]
+
+
+def all_facets_face_masks(inc):
+    """Reference for ``face_masks``: the same top-down grading, with every
+    face intersected with every facet; built afresh on each call."""
+    facets = [sum(1 << i for i in f) for f in inc.incidence]
+    levels = [frozenset(facets)]
+    while True:
+        below = set()
+        for f in levels[-1]:
+            cuts = sorted({f & g for g in facets} - {0, f}, key=int.bit_count, reverse=True)
+            kept = []
+            for cut in cuts:
+                if all(cut & k != cut for k in kept):
+                    kept.append(cut)
+            below.update(kept)
+        if not below:
+            break
+        levels.append(frozenset(below))
+    top = len(levels) - 1
+    return {top - depth: levels[depth] for depth in range(top, -1, -1)}
+
+
+def _homogenized(v):
+    """The rows ``facets_from_vrep`` hands to ``_extreme_rays``."""
+    mult = lcm(*(x.denominator for p in v.points for x in p))
+    return [tuple(int(x * mult) for x in p) + (1,) for p in v.points]
+
+
+@st.composite
+def _box_point_sets(draw):
+    """Some corners of [-2, 2]^d, d = 2..4, and grid points of the box, half
+    of them moved onto one of its facets: facets and intermediate rays with
+    more than d points, so zero sets exceed width-1."""
+    d = draw(st.integers(2, 4))
+    corners = list(product((-2, 2), repeat=d))
+    pts = set(draw(st.lists(st.sampled_from(corners), min_size=1, max_size=len(corners))))
+    for p in draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), max_size=6)):
+        if draw(st.booleans()):
+            p[draw(st.integers(0, d - 1))] = draw(st.sampled_from((-2, 2)))
+        pts.add(tuple(p))
+    return VPolytope(d, sorted(pts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_box_point_sets())
+def test_hull_and_lattice_match_references_on_drawn_sets(v):
+    rows = _homogenized(v)
+    rays = _extreme_rays(rows, v.dim + 1)
+    assert rays == _full_scan_extreme_rays(rows, v.dim + 1)
+    if rays is None:
+        with pytest.raises(SpanError):
+            facets_from_vrep(v)
+        return
+    inc = facets_from_vrep(v)
+    assert (list(inc.incidence), list(inc.inequalities)) == _brute_force_facets(v)
+    assert face_masks(inc) == all_facets_face_masks(inc)
+
+
+def _adjacency_branches(v):
+    branches = Counter()
+    _full_scan_extreme_rays(_homogenized(v), v.dim + 1, branches)
+    return branches
+
+
+@pytest.mark.parametrize("branch", ["simple", "indexed"])
+def test_drawn_sets_reach_both_adjacency_branches(branch):
+    # ``find`` raises NoSuchExample when no drawn set takes the branch
+    find(
+        _box_point_sets(),
+        lambda v: _adjacency_branches(v)[branch] > 0,
+        settings=settings(database=None, max_examples=500, phases=[Phase.generate]),
+        random=random.Random(21),
+    )
+
+
+@pytest.fixture
+def full_scan_checked(monkeypatch):
+    """Every ``_extreme_rays`` call the library makes is checked against the
+    full-scan reference, ray for ray and zero set for zero set, in order;
+    the returned Counter counts the calls by width."""
+    widths = Counter()
+    original = polytope._extreme_rays
+
+    def checked(rows, width):
+        rays = original(rows, width)
+        assert rays == _full_scan_extreme_rays(rows, width)
+        widths[width] += 1
+        return rays
+
+    monkeypatch.setattr(polytope, "_extreme_rays", checked)
+    return widths
+
+
+def test_extreme_rays_match_full_scan_on_h_systems(full_scan_checked):
+    for h in _random_box_cuts():
+        vertices_and_tight_sets(h)
+    for h in _rank_deficient_systems(200):
+        with pytest.raises(NcpolyError):
+            vertices_and_tight_sets(h)
+    classify.first_construction(4)  # H->V and V->H of one system
+    assert sum(full_scan_checked.values()) >= 30 + 200 + 2
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_extreme_rays_match_full_scan_on_the_grid(full_scan_checked, n):
+    # both hull directions of every (n, d): H->V of the deformed cube and
+    # V->H of its projection
+    for d in range(2, n + 1):
+        facets_from_vrep(projected_cube(n, d).shadow)
+    assert full_scan_checked[n + 1] >= 1
+    assert sum(full_scan_checked.values()) >= 2 * (n - 1)

@@ -5,6 +5,10 @@ the n = d+1 classification, the surgery counter-example, and the embedded
 ambiguity witnesses.  Output is canonical JSON (sorted keys) unless a text
 format is requested; identical invocations produce byte-identical output.
 Exit status is 0 exactly when every requested check passes.
+
+The argument parser, ``PARSER``, is the one object built at import: it
+depends on no input, and each ``parse_args`` call returns a fresh namespace.
+Every computation is still redone on each ``main`` call.
 """
 
 import argparse
@@ -109,12 +113,13 @@ def cmd_verify(args):
     pc = projected_cube(n, d, args.epsilon)
     inc = shadow_incidence(pc)
     fv = f_vector(inc)
-    oracle_sets = {
-        frozenset(inc.labels[i] for i in f) for f in inc.incidence
-    }
+    # shadow vertex i is cube vertex ids[i], bit j set where labels[i][j] is +1;
+    # the labels are distinct, so each facet's sum of ID bits is their OR
+    ids = [sum(1 << j for j, s in enumerate(lab) if s == 1) for lab in inc.labels]
+    oracle_masks = {sum(1 << ids[i] for i in f) for f in inc.incidence}
     checks = {
         "facet_count_matches_formula": len(inc.incidence) == gale.f_formula(n, d),
-        "facets_match_combinatorial": oracle_sets == gale.facet_vertex_label_sets(n, d),
+        "facets_match_combinatorial": oracle_masks == gale.facet_vertex_masks(n, d),
         "cubical": is_cubical(inc),
         "dehn_sommerville": dehn_sommerville_check(fv, d),
         f"skeleton_equivalence_r{r}": verify_skeleton_equivalence(inc, n, r),
@@ -259,8 +264,11 @@ def build_parser():
     return ap
 
 
+PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (NcpolyError, ValueError) as exc:

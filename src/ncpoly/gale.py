@@ -69,9 +69,13 @@ def facets_gale(n, d):
 
 
 def to_sign_vector(alpha, n):
-    """Sign vector of the cube face named by alpha (zeroes elsewhere)."""
+    """Sign vector of the cube face named by alpha (zeroes elsewhere).
+    Raises ValueError unless alpha's elements lie in +-(1..n) and no two
+    of them share an index, so that k and -k never meet."""
     sv = [0] * n
     for a in alpha:
+        if not 0 < abs(a) <= n or sv[abs(a) - 1]:
+            raise ValueError(f"label indices must be distinct and lie in 1..{n}")
         sv[abs(a) - 1] = 1 if a > 0 else -1
     return tuple(sv)
 
@@ -145,14 +149,16 @@ def f_formula(n, d) -> int:
     return f1
 
 
+def facet_vertex_masks(n, d):
+    """Facets as masks over cube-vertex IDs (``signvec.vertex_set``), for
+    oracle diffs."""
+    return {signvec.vertex_set(to_sign_vector(a, n)) for a in facets_gale(n, d)}
+
+
 def facet_vertex_label_sets(n, d):
-    """Facets as frozensets of vertex labels in {-1,+1}^n, for oracle diffs."""
-    out = set()
-    for alpha in facets_gale(n, d):
-        sv = to_sign_vector(alpha, n)
-        out.add(
-            frozenset(
-                signvec.vertex_tuple_from_bits(b, n) for b in signvec.vertices_bits(sv)
-            )
-        )
-    return out
+    """Facets as frozensets of vertex labels in {-1,+1}^n: the label view
+    of ``facet_vertex_masks``."""
+    return {
+        frozenset(signvec.vertex_tuple_from_bits(v, n) for v in signvec.members(m))
+        for m in facet_vertex_masks(n, d)
+    }

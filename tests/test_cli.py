@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from itertools import product
 
 import pytest
 
+from ncpoly import gale, signvec
 from ncpoly.cli import main
 
 
@@ -203,7 +208,73 @@ RECORDED_OUTPUTS = [
 ]
 
 
+def _recorded_digest(capsys, command):
+    got, out, _ = run_cli(capsys, *command.split())
+    return hashlib.sha256(out.encode()).hexdigest(), got
+
+
 @pytest.mark.parametrize("command,code,digest", RECORDED_OUTPUTS)
 def test_output_matches_recording(capsys, command, code, digest):
-    got, out, _ = run_cli(capsys, *command.split())
-    assert (hashlib.sha256(out.encode()).hexdigest(), got) == (digest, code)
+    assert _recorded_digest(capsys, command) == (digest, code)
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # the module's one parser serves every call: each recording still
+    # matches, forward and reversed, with a usage error and a refused
+    # --r between them, and the usage error reads the same each time
+    usage_errors = []
+    for i, (command, code, digest) in enumerate(RECORDED_OUTPUTS + RECORDED_OUTPUTS[::-1]):
+        assert _recorded_digest(capsys, command) == (digest, code), command
+        if i % 2 == 0:
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--n", "5", "--d", "4", "--epsilon", "abc"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "not a rational: 'abc'" in err
+            usage_errors.append(err)
+        else:
+            assert run_cli(capsys, "verify", "--n", "5", "--d", "4", "--r", "-1") == (
+                1, "", '{"error": "ValueError", "message": "need r >= 0"}\n'
+            )
+    assert len(set(usage_errors)) == 1
+
+
+def test_importing_the_package_builds_no_parser():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, ncpoly; print('ncpoly.cli' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
+def _non_facet_cube_face(n, d, facets):
+    # the smallest (d-1)-face of the n-cube, as a vertex mask, that is not a facet
+    faces = (
+        signvec.vertex_set(sv)
+        for sv in product((-1, 0, 1), repeat=n)
+        if n - sv.count(0) == n - d + 1
+    )
+    return min(f for f in faces if f not in facets)
+
+
+def _drop_one_facet(facets, n, d):
+    return set(sorted(facets)[1:])
+
+
+def _swap_one_facet(facets, n, d):
+    return _drop_one_facet(facets, n, d) | {_non_facet_cube_face(n, d, facets)}
+
+
+@pytest.mark.parametrize("mutate", [_drop_one_facet, _swap_one_facet], ids=["dropped", "swapped"])
+def test_verify_fails_when_the_combinatorial_facets_differ(capsys, monkeypatch, mutate):
+    original = gale.facet_vertex_masks
+    monkeypatch.setattr(gale, "facet_vertex_masks", lambda n, d: mutate(original(n, d), n, d))
+    code, out, _ = run_cli(capsys, "verify", "--n", "5", "--d", "4")
+    data = json.loads(out)
+    assert code == 1
+    assert data["checks"]["facets_match_combinatorial"] is False
+    assert data["pass"] is False
+    assert all(v for k, v in data["checks"].items() if k != "facets_match_combinatorial")

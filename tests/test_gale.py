@@ -10,6 +10,8 @@ from ncpoly.gale import (
     _positive_circuit,
     alpha_is_positive_circuit,
     f_formula,
+    facet_vertex_label_sets,
+    facet_vertex_masks,
     facets_gale,
     gap_even,
     to_sign_vector,
@@ -77,6 +79,60 @@ def test_chain_facet_sign_vectors():
     facets = set(facets_gale(6, 4))
     for alpha in (frozenset({-1, 2, 5}), frozenset({-1, 4, 5}), frozenset({-1, -2, 4})):
         assert alpha in facets
+
+
+def _reference_sign_vector(alpha, n):
+    # to_sign_vector without its label checks
+    sv = [0] * n
+    for a in alpha:
+        sv[abs(a) - 1] = 1 if a > 0 else -1
+    return tuple(sv)
+
+
+def _reference_label_sets(n, d):
+    # facet_vertex_label_sets as one sign-vector walk per facet, straight to
+    # label tuples
+    return {
+        frozenset(
+            signvec.vertex_tuple_from_bits(b, n)
+            for b in signvec.vertices_bits(_reference_sign_vector(alpha, n))
+        )
+        for alpha in facets_gale(n, d)
+    }
+
+
+def test_sign_vector_refuses_index_zero():
+    # unchecked, the 0 wrapped to the last coordinate: (0, 1, -1)
+    with pytest.raises(ValueError):
+        to_sign_vector(frozenset({0, 2}), 3)
+
+
+def test_sign_vector_refuses_both_signs_of_one_index():
+    # unchecked, the sign the set yielded last won: (0, -1, 0) or (0, 1, 0)
+    with pytest.raises(ValueError):
+        to_sign_vector(frozenset({2, -2}), 3)
+
+
+def test_sign_vector_refuses_index_past_n():
+    # unchecked, an IndexError
+    for alpha in (frozenset({4}), frozenset({-1, -4})):
+        with pytest.raises(ValueError):
+            to_sign_vector(alpha, 3)
+
+
+def test_sign_vector_unchanged_on_every_facet_label():
+    for n in range(2, 9):
+        for d in range(2, n + 1):
+            for alpha in facets_gale(n, d):
+                assert to_sign_vector(alpha, n) == _reference_sign_vector(alpha, n)
+
+
+def test_facet_label_sets_are_the_label_view_of_the_masks():
+    for n in range(2, 9):
+        for d in range(2, n + 1):
+            masks = facet_vertex_masks(n, d)
+            assert len(masks) == f_formula(n, d)
+            assert facet_vertex_label_sets(n, d) == _reference_label_sets(n, d), (n, d)
 
 
 def _initial_run(alpha):

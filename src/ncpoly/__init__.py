@@ -29,7 +29,6 @@ from .deformed import (
     common_epsilon,
     project_last,
     projected_cube,
-    verify_combinatorial_cube,
 )
 from .gale import (
     f_formula,
@@ -55,7 +54,6 @@ from .skeleton import (
     verify_skeleton_equivalence,
 )
 from .surgery import (
-    build_phi,
     build_psi,
     intersection_lemma_check,
     verify_sphere_like,

@@ -271,7 +271,7 @@ def main(argv=None):
     args = PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (NcpolyError, ValueError) as exc:
+    except (NcpolyError, ValueError, OSError) as exc:
         json.dump(
             {"error": type(exc).__name__, "message": str(exc)},
             sys.stderr,

@@ -92,20 +92,16 @@ class CubicalComplex:
     def is_connected(self):
         return _connected(self.vertex_ids, map(signvec.members, self.faces_by_dim.get(1, ())))
 
-    def vertex_link_surface_check(self, v):
-        """For a 3-dimensional complex: is the link of v a closed connected
-        surface of Euler characteristic 2?
+    def vertex_links_are_surfaces(self):
+        """For a 3-dimensional complex: is the link of every vertex v a
+        closed connected surface of Euler characteristic 2?  The faces at
+        each vertex are grouped in one pass.
 
         Link cells: edges at v are link vertices, 2-faces at v are link
         edges, 3-cubes at v are link triangles.  Closed: every link edge
         lies in exactly two link triangles.  Connected: the link triangles
         are joined across shared link edges.
         """
-        by_dim = self.faces_by_dim
-        return _link_is_surface(*([f for f in by_dim.get(k, ()) if f >> v & 1] for k in (1, 2, 3)))
-
-    def vertex_links_are_surfaces(self):
-        """``vertex_link_surface_check`` at every vertex, faces grouped in one pass."""
         at = {v: ([], [], []) for v in self.vertex_ids}
         for k in (1, 2, 3):
             for f in self.faces_by_dim.get(k, ()):
@@ -115,7 +111,8 @@ class CubicalComplex:
 
 
 def _link_is_surface(edges, quads, cubes):
-    """``vertex_link_surface_check`` on the edges, quads and cubes at v."""
+    """The link test of ``CubicalComplex.vertex_links_are_surfaces`` on the
+    edges, quads and cubes at one vertex v."""
     # a link with no triangles is no surface, though the walk below would
     # call its empty graph connected
     if len(edges) - len(quads) + len(cubes) != 2 or not cubes:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import ConstructionError, NcpolyError, SkeletonViolationError
+from .errors import ConstructionError, SkeletonViolationError
 from .intops import bareiss_det
 from .polytope import (
     HPolytope,
@@ -194,17 +194,6 @@ def cube_vertices_labeled(h: HPolytope) -> VPolytope:
     if not len(set(labels)) == len(labels) == 2 ** n:
         raise ConstructionError(f"{len(verts)} vertices do not carry the 2^{n} sign labels")
     return VPolytope(n, [p for p, _ in verts], labels)
-
-
-def verify_combinatorial_cube(h: HPolytope) -> bool:
-    """True when the solution set is a combinatorial n-cube, its inequalities
-    paired as in ``build_deformed_cube``.  Reads only the H->V tight sets;
-    ``cube_vertices_labeled`` says why that suffices."""
-    try:
-        cube_vertices_labeled(h)
-    except NcpolyError:
-        return False
-    return True
 
 
 def project_last(v: VPolytope, d) -> VPolytope:

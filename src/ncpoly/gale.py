@@ -80,17 +80,20 @@ def to_sign_vector(alpha, n):
     return tuple(sv)
 
 
-def _positive_circuit(n, d, signed_rows, epsilon) -> bool:
-    """The circuit test on the deformation-matrix rows named by the
-    (k, sigma) pairs ``signed_rows``: rank n-d and a strictly one-signed
-    left-kernel vector.  Its free entry is |prod of pivots| > 0, so the test
-    fails at the first other entry that is not positive.  Raises ValueError
-    unless the k are n-d+1 distinct indices in 1..n."""
-    ks = {k for k, _ in signed_rows}
-    if len(signed_rows) != n - d + 1:
+def alpha_is_positive_circuit(n, d, alpha, epsilon) -> bool:
+    """The positive-circuit test for the cube face named by the signed label
+    alpha, on the deformation-matrix rows (k, sign) it names: rank n-d and a
+    strictly one-signed left-kernel vector.  Its free entry is |prod of
+    pivots| > 0, so the test fails at the first other entry that is not
+    positive.  Raises ValueError unless alpha has n-d+1 elements, none of
+    them outside +-(1..n), and is disjoint from -alpha."""
+    # a label holding both k and -k names row k twice and is refused
+    ks = {abs(a) for a in alpha}
+    if len(alpha) != n - d + 1:
         raise ValueError("need exactly n-d+1 rows")
-    if len(ks) != len(signed_rows) or (ks and not (0 < min(ks) and max(ks) <= n)):
+    if len(ks) != len(alpha) or (ks and not (0 < min(ks) and max(ks) <= n)):
         raise ValueError(f"row indices must be distinct and lie in 1..{n}")
+    signed_rows = [(abs(a), 1 if a > 0 else -1) for a in sorted(alpha, key=abs)]
     red = echelon(deformation_columns(n, d, signed_rows, epsilon))
     if len(red) != n - d:
         return False
@@ -110,16 +113,6 @@ def _positive_circuit(n, d, signed_rows, epsilon) -> bool:
             return False
         u[pc] = q
     return True
-
-
-def alpha_is_positive_circuit(n, d, alpha, epsilon) -> bool:
-    """The positive-circuit test for the cube face named by the signed label
-    alpha.  Raises ValueError unless alpha has n-d+1 elements, none of them
-    outside +-(1..n), and is disjoint from -alpha."""
-    # a label holding both k and -k names row k twice and is refused
-    return _positive_circuit(
-        n, d, [(abs(a), 1 if a > 0 else -1) for a in sorted(alpha, key=abs)], epsilon
-    )
 
 
 def f_formula(n, d) -> int:

@@ -15,14 +15,9 @@ from math import gcd, lcm
 from operator import mul
 
 
-def vec_content(v):
-    """gcd of the entries, 0 for an all-zero or empty vector."""
-    return gcd(*v)
-
-
 def primitive(v):
     """Divide a vector by its content (no-op on zero vectors)."""
-    g = vec_content(v)
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)

@@ -20,7 +20,7 @@ from operator import or_
 from . import signvec
 from .complexes import CubicalComplex, codim1_faces, free_coordinates, from_cube_facets
 from .errors import ConstructionError
-from .gale import facets_gale, to_sign_vector
+from .gale import facet_vertex_masks
 
 N = 6
 D = 4
@@ -30,13 +30,8 @@ FACET_B = signvec.vertex_set(signvec.parse("-00++0"))
 FACET_C = signvec.vertex_set(signvec.parse("--0+00"))
 
 
-def boundary_facets():
-    """Facet masks of the 64-vertex projected cube."""
-    return [signvec.vertex_set(to_sign_vector(a, N)) for a in facets_gale(N, D)]
-
-
 def boundary_complex() -> CubicalComplex:
-    return from_cube_facets(boundary_facets())
+    return from_cube_facets(facet_vertex_masks(N, D))
 
 
 def _quad_between():
@@ -45,15 +40,6 @@ def _quad_between():
     if ab.bit_count() != 4 or bc.bit_count() != 4 or FACET_A & FACET_C:
         raise ConstructionError("the three facets do not form a chain")
     return ab, bc
-
-
-def build_phi() -> CubicalComplex:
-    """The chain A u B u C as a subcomplex of the boundary."""
-    facets = set(boundary_facets())
-    for f in (FACET_A, FACET_B, FACET_C):
-        if f not in facets:
-            raise ConstructionError("chain facet missing from the facet list")
-    return from_cube_facets([FACET_A, FACET_B, FACET_C])
 
 
 def phi_boundary_faces():
@@ -78,7 +64,7 @@ def intersection_lemma_check() -> bool:
     b_minus_c = FACET_B & ~bc
     c_minus_b = FACET_C & ~bc
 
-    others = [f for f in boundary_facets() if f not in (FACET_A, FACET_B, FACET_C)]
+    others = facet_vertex_masks(N, D) - {FACET_A, FACET_B, FACET_C}
 
     boundary = phi_boundary_faces()
     for facet in others:
@@ -131,11 +117,13 @@ def _glue_ball_cells():
 
 
 def build_psi() -> CubicalComplex:
-    """Perform the surgery and validate the resulting complex."""
+    """Perform the surgery on the boundary facets A, B, C; validate the result."""
     if not intersection_lemma_check():
         raise ConstructionError("intersection lemma fails; surgery unsafe")
     ab, bc = _quad_between()
     base = boundary_complex().faces_by_dim
+    if not {FACET_A, FACET_B, FACET_C} <= base[3]:
+        raise ConstructionError("chain facet missing from the facet list")
     edges, quads, cubes = _glue_ball_cells()
     faces_by_dim = {
         0: base[0],
@@ -182,7 +170,7 @@ def chain_edge_facet_degrees():
     """Facet degrees, in the unmodified boundary, of the eight edges of the
     two quadrilaterals B-C and B-A, keyed by edge mask."""
     ab, bc = _quad_between()
-    facets = boundary_facets()
+    facets = facet_vertex_masks(N, D)
     return {
         edge: sum(edge & f == edge for f in facets)
         for quad in (FACET_B & ~bc, FACET_B & ~ab)

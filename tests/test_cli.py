@@ -126,6 +126,21 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["count"] == 16
 
 
+@pytest.mark.parametrize(
+    "where,error",
+    [("missing/f.json", "FileNotFoundError"), (".", "IsADirectoryError")],
+    ids=["missing-dir", "directory"],
+)
+def test_unwritable_output_is_a_structured_error(tmp_path, capsys, where, error):
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "fvector", "--n", "4", "--d", "3", "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == error
+    assert not (tmp_path / "missing").exists()
+
+
 def test_bad_arguments_exit_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["facets", "--n", "notanumber", "--d", "2"])

@@ -20,7 +20,6 @@ from ncpoly.deformed import (
     deformation_rows,
     project_last,
     projected_cube,
-    verify_combinatorial_cube,
 )
 from ncpoly.errors import ConstructionError, NcpolyError, SkeletonViolationError
 from ncpoly.intops import bareiss_det, int_row
@@ -71,12 +70,12 @@ def test_growth_bound_at_vertices(n, eps):
 
 
 def test_combinatorial_cube_check():
-    assert verify_combinatorial_cube(build_deformed_cube(2, Fraction(1, 2)))
-    assert verify_combinatorial_cube(build_deformed_cube(3, Fraction(1, 4)))
-    # the boundary of the allowed range is still a cube
-    assert verify_combinatorial_cube(build_deformed_cube(3, 1)) is True
-    # reads the 2048 tight sets of one H->V, with no face lattice
-    assert verify_combinatorial_cube(build_deformed_cube(11, Fraction(1, 2))) is True
+    for n, eps in [(2, Fraction(1, 2)), (3, Fraction(1, 4)), (3, 1), (11, Fraction(1, 2))]:
+        # eps = 1, the boundary of the allowed range, still gives a cube; at
+        # n = 11 the check reads the 2048 tight sets of one H->V, with no
+        # face lattice
+        labels = cube_vertices_labeled(build_deformed_cube(n, eps)).labels
+        assert len(set(labels)) == len(labels) == 2 ** n
 
 
 def test_sign_label_needs_exactly_one_side():
@@ -88,7 +87,7 @@ def test_sign_label_needs_exactly_one_side():
 
 
 def _lattice_cube_check(h):
-    # the check verify_combinatorial_cube made before it read tight sets
+    # the check cube_vertices_labeled made before it read tight sets
     # alone: rebuild the face lattice from the incidence of the 2n paired
     # inequalities and compare it with the n-cube's face by face, which
     # verify_skeleton_equivalence does at r = n - 1
@@ -177,7 +176,12 @@ def test_cube_check_matches_lattice_reference():
     answers = []
     for h in _cube_check_family():
         want = _lattice_cube_check(h)
-        assert verify_combinatorial_cube(h) is want, h.inequalities
+        if want:
+            labels = cube_vertices_labeled(h).labels
+            assert len(set(labels)) == len(labels) == 2 ** h.dim, h.inequalities
+        else:
+            with pytest.raises(NcpolyError):
+                cube_vertices_labeled(h)
         answers.append(want)
     assert (answers.count(True), answers.count(False)) == (87, 67)
 

@@ -7,7 +7,6 @@ import pytest
 from ncpoly import signvec
 from ncpoly.deformed import choose_epsilon
 from ncpoly.gale import (
-    _positive_circuit,
     alpha_is_positive_circuit,
     f_formula,
     facet_vertex_label_sets,
@@ -181,9 +180,10 @@ def test_full_run_case_accepts_both_signs():
 
 
 def _sigma_circuit(n, d, sigma, rows, eps):
-    # the sigma-mapping form the package once exported: sigma maps a row
-    # index to its sign, and rows it does not name take +1
-    return _positive_circuit(n, d, [(k, sigma.get(k, 1)) for k in rows], eps)
+    # the sigma-mapping form the package once exported, as a signed label
+    # listed in the order of ``rows``: sigma maps a row index to its sign,
+    # and rows it does not name take +1
+    return alpha_is_positive_circuit(n, d, tuple(sigma.get(k, 1) * k for k in rows), eps)
 
 
 def test_positive_circuit_vacuous_when_n_equals_d():
@@ -196,7 +196,7 @@ def test_positive_circuit_vacuous_when_n_equals_d():
     [
         (5, 2, (2, 3, 4, 9)),  # index past n
         (5, 2, (0, 3, 4, 5)),  # row 0 would put sigma*eps in the last column
-        (5, 2, (-1, 3, 4, 5)),
+        (5, 2, (3, 4, 5)),  # one row short
         (5, 2, (3, 3, 4, 5)),  # repeated row
         (3, 3, (4,)),  # checked even where the test is vacuous
     ],

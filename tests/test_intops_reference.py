@@ -21,7 +21,7 @@ from ncpoly.intops import (
     bareiss_det,
     echelon,
     echelon_kernel,
-    vec_content,
+    primitive,
 )
 from ncpoly.signvec import vertices_bits
 from test_linalg import left_kernel
@@ -130,9 +130,10 @@ def test_left_kernel_matches_sympy_nullspace(rows):
 @example([])
 @example([0, 0, 0])
 @example([-4, 6, 0])
-def test_vec_content_matches_sympy_gcd(v):
+def test_primitive_matches_sympy_gcd(v):
     # folded pairwise from 0: gcd_list([-1]) would return -1
-    assert vec_content(v) == reduce(sympy.gcd, v, sympy.Integer(0))
+    g = int(reduce(sympy.gcd, v, sympy.Integer(0)))
+    assert primitive(v) == (tuple(x // g for x in v) if g else tuple(v))
 
 
 @SETTINGS

@@ -4,17 +4,15 @@ from itertools import combinations, product
 import pytest
 
 from ncpoly import signvec, surgery
-from ncpoly.complexes import CubicalComplex, from_cube_facets
+from ncpoly.complexes import CubicalComplex, _link_is_surface, from_cube_facets
 from ncpoly.errors import ConstructionError
-from ncpoly.gale import facets_gale, to_sign_vector
+from ncpoly.gale import facet_vertex_masks, facets_gale, to_sign_vector
 from ncpoly.skeleton import dehn_sommerville_check
 from ncpoly.surgery import (
     FACET_A,
     FACET_B,
     FACET_C,
     boundary_complex,
-    boundary_facets,
-    build_phi,
     build_psi,
     chain_edge_facet_degrees,
     intersection_lemma_check,
@@ -31,6 +29,15 @@ def _boundary_sign_vectors():
     return [to_sign_vector(a, surgery.N) for a in facets_gale(surgery.N, surgery.D)]
 
 
+def _boundary_masks():
+    return facet_vertex_masks(surgery.N, surgery.D)
+
+
+def _phi():
+    # the chain A u B u C as a subcomplex of the boundary
+    return from_cube_facets([FACET_A, FACET_B, FACET_C])
+
+
 def test_chain_meets():
     assert tuple(map(signvec.vertex_set, CHAIN)) == (FACET_A, FACET_B, FACET_C)
     ab = FACET_A & FACET_B
@@ -43,7 +50,8 @@ def test_chain_meets():
 
 
 def test_phi_has_16_vertices():
-    phi = build_phi()
+    assert {FACET_A, FACET_B, FACET_C} <= _boundary_masks()
+    phi = _phi()
     # three 3-cubes sharing two quadrilaterals: 8 + 8 + 8 - 4 - 4
     assert phi.f_vector()[0] == 16
     assert len(phi.facets()) == 3
@@ -64,7 +72,7 @@ def test_rejected_candidate_patterns_are_not_facets():
     # facets of the shape (-,0,u,0,+,v) or (-,0,w,+,0,x) would break the
     # chain-disjointness argument; none may exist
     facets = set(_boundary_sign_vectors())
-    assert {signvec.vertex_set(f) for f in facets} == set(boundary_facets())
+    assert {signvec.vertex_set(f) for f in facets} == _boundary_masks()
     for f in facets:
         assert not (f[0] == -1 and f[1] == 0 and f[3] == 0 and f[4] == 1)
         assert not (f[0] == -1 and f[1] == 0 and f[3] == 1 and f[4] == 0)
@@ -72,7 +80,7 @@ def test_rejected_candidate_patterns_are_not_facets():
 
 def test_intersection_lemma():
     assert intersection_lemma_check()
-    assert len(boundary_facets()) - 3 == 61
+    assert len(_boundary_masks()) - 3 == 61
 
 
 def test_psi_f_vector():
@@ -105,7 +113,7 @@ def test_unmodified_boundary_passes_certificate():
 
 
 def test_phi_alone_fails_closedness():
-    report = verify_sphere_like(build_phi())
+    report = verify_sphere_like(_phi())
     assert not report.ridges_in_two_facets
     assert not report.ok
 
@@ -354,6 +362,12 @@ def _boundary_chains():
     ]
 
 
+def _link_at(cx, v):
+    # the per-vertex verdict inside vertex_links_are_surfaces: the link test
+    # on the edges, quads and cubes at v
+    return _link_is_surface(*([f for f in cx.faces_by_dim.get(k, ()) if f >> v & 1] for k in (1, 2, 3)))
+
+
 def _cubical_cone(triangles):
     """A cubical complex whose link at vertex 0 is the simplicial complex
     ``triangles``: each triangle T spans the cube of the subsets of T
@@ -437,7 +451,7 @@ def test_validate_matches_all_pairs_reference():
     psi = build_psi()
     cut = min(psi.faces_by_dim[3], key=_sorted_ids)
     psi_cut = CubicalComplex({**psi.faces_by_dim, 3: psi.faces_by_dim[3] - {cut}})
-    for cx in (psi, boundary_complex(), build_phi(), psi_cut):
+    for cx in (psi, boundary_complex(), _phi(), psi_cut):
         cx.validate()
         assert _reference_validate(cx) is None
 
@@ -558,7 +572,7 @@ def test_intersection_lemma_matches_reference_on_every_chain(monkeypatch):
 def test_a_chain_meeting_in_an_edge_is_refused(monkeypatch):
     # consecutive chain facets must share a quad: here A and B of the
     # boundary of (6,4) share only an edge, B and C a quad, A and C nothing
-    facets = boundary_facets()
+    facets = sorted(_boundary_masks())
     chain = next(
         (a, b, c)
         for a in facets
@@ -579,10 +593,21 @@ def test_lemma_refuses_a_facet_through_an_inner_quad(monkeypatch):
     # chain boundary in that quad's four edges, not in one face; it touches
     # no pair the disjointness half looks at, so only the closure half sees it
     extra = signvec.parse("0+0++0")
-    masks = boundary_facets() + [signvec.vertex_set(extra)]
-    monkeypatch.setattr(surgery, "boundary_facets", lambda: masks)
+    masks = _boundary_masks() | {signvec.vertex_set(extra)}
+    monkeypatch.setattr(surgery, "facet_vertex_masks", lambda n, d: masks)
     assert _reference_intersection_lemma_check(CHAIN, _boundary_sign_vectors() + [extra]) is False
     assert intersection_lemma_check() is False
+
+
+@pytest.mark.parametrize("missing", ["FACET_A", "FACET_B", "FACET_C"])
+def test_build_psi_refuses_a_chain_facet_missing_from_the_boundary(monkeypatch, missing):
+    # without its membership check, the surgery removes a facet that is not
+    # there, and the complex it returns still validates
+    masks = _boundary_masks() - {getattr(surgery, missing)}
+    monkeypatch.setattr(surgery, "facet_vertex_masks", lambda n, d: masks)
+    assert intersection_lemma_check()
+    with pytest.raises(ConstructionError, match="^chain facet missing from the facet list$"):
+        build_psi()
 
 
 def test_sphere_checks_match_reference():
@@ -590,13 +615,15 @@ def test_sphere_checks_match_reference():
     cut = min(psi.faces_by_dim[3], key=_sorted_ids)
     psi_cut = CubicalComplex({**psi.faces_by_dim, 3: psi.faces_by_dim[3] - {cut}})
     assert not verify_sphere_like(psi_cut).ok
-    for cx in (psi, boundary_complex(), build_phi(), psi_cut, _loose_complex()):
+    verdicts = []
+    for cx in (psi, boundary_complex(), _phi(), psi_cut, _loose_complex()):
         assert cx.is_connected() == _reference_is_connected(cx)
-        links = {v: _reference_vertex_link_surface_check(cx, v) for v in sorted(cx.vertex_ids)}
-        for v, want in links.items():
-            assert cx.vertex_link_surface_check(v) == want, v
+        links = [_reference_vertex_link_surface_check(cx, v) for v in sorted(cx.vertex_ids)]
+        assert [_link_at(cx, v) for v in sorted(cx.vertex_ids)] == links
         # the one-pass check over every vertex gives the per-vertex verdicts' conjunction
-        assert cx.vertex_links_are_surfaces() is all(links.values())
+        assert cx.vertex_links_are_surfaces() is all(links)
+        verdicts.append(all(links))
+    assert verdicts == [True, True, False, False, False]
     assert psi.vertex_links_are_surfaces() is True
     assert psi_cut.vertex_links_are_surfaces() is False
 
@@ -604,7 +631,9 @@ def test_sphere_checks_match_reference():
 def test_vertex_in_no_cube_has_no_surface_link():
     loose = _loose_complex()
     assert loose.is_connected() is False
-    assert loose.vertex_link_surface_check(8) is False
+    assert _reference_vertex_link_surface_check(loose, 8) is False
+    assert _link_at(loose, 8) is False
+    assert loose.vertex_links_are_surfaces() is False
 
 
 def test_link_with_a_quad_in_four_cubes_is_not_closed():
@@ -614,8 +643,13 @@ def test_link_with_a_quad_in_four_cubes_is_not_closed():
     first = _octahedron(0, 2, 1, 3, 4, 5)
     second = _octahedron(0, 3, 1, 2, 6, 7)
     cx = _cubical_cone(first + second)
-    assert cx.vertex_link_surface_check(0) is False
+    assert _link_at(cx, 0) is False
     assert _reference_vertex_link_surface_check(cx, 0) is False
     sphere = _cubical_cone(first)
-    assert sphere.vertex_link_surface_check(0) is True
+    assert _link_at(sphere, 0) is True
     assert _reference_vertex_link_surface_check(sphere, 0) is True
+    # every other vertex of a cone lies on its boundary, so neither complex
+    # passes the check over all vertices
+    for c in (cx, sphere):
+        assert c.vertex_links_are_surfaces() is False
+        assert not all(_reference_vertex_link_surface_check(c, v) for v in c.vertex_ids)

@@ -27,7 +27,10 @@ Every eps decision is made here: ``common_epsilon`` walks the one ladder
 That the deformed cube is combinatorially the n-cube is read off the tight
 sets H->V returns, with no face lattice: ``cube_vertices_labeled`` labels
 each vertex by its tight side of every pair and checks for 2^n distinct
-labels.  Every ``projected_cube`` runs that check.
+labels.  Every ``projected_cube`` runs that check.  The cube's vertices
+stay integer coordinates over the one denominator H->V returns, and
+``project_last`` slices them and keeps it, so no Fraction is built on the
+way from H->V to the hull.
 """
 
 from dataclasses import dataclass
@@ -187,21 +190,24 @@ def cube_vertices_labeled(h: HPolytope) -> VPolytope:
     which fixes the face lattice.
     """
     n = h.dim
-    verts = vertices_and_tight_sets(h)
+    verts, scale = vertices_and_tight_sets(h)
     labels = [_sign_label(tight, n) for _, tight in verts]
     if None in labels:
         raise ConstructionError("vertex without a unique tight sign choice")
     if not len(set(labels)) == len(labels) == 2 ** n:
         raise ConstructionError(f"{len(verts)} vertices do not carry the 2^{n} sign labels")
-    return VPolytope(n, [p for p, _ in verts], labels)
+    return VPolytope(n, [p for p, _ in verts], labels, scale)
 
 
 def project_last(v: VPolytope, d) -> VPolytope:
-    """Truncate every point to its last d coordinates, keeping labels."""
+    """Truncate every point to its last d coordinates, keeping labels and
+    the common denominator."""
+    if d < 1:
+        raise ValueError("projection target must be at least 1")
     if v.dim < d:
         raise ValueError("ambient dimension below projection target")
     try:
-        return VPolytope(d, [p[v.dim - d:] for p in v.points], v.labels)
+        return VPolytope(d, [p[v.dim - d:] for p in v.coords], v.labels, v.scale)
     except ValueError as exc:
         # v's labels passed these checks already, so a repeated point failed
         raise SkeletonViolationError("projection collapsed two vertices") from exc

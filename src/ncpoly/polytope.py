@@ -5,7 +5,11 @@ pointed integer cone, by incremental double description.  Facets of a
 V-polytope are the extreme rays of the cone of affine functions that are
 nonnegative on its points; vertices of an H-polytope are the extreme rays of
 its homogenized cone with last coordinate positive.  All arithmetic is on
-Python integers, so results are exact.
+Python integers, so results are exact.  A V-polytope keeps its points as
+integer coordinates over one positive denominator (``coords``, ``scale``):
+H->V returns its vertices in that form, and the hull reads them as they
+are.  Fractions appear only in the ``points`` view, in an H-polytope's
+``inequalities`` and in JSON.
 
 Each ray's zero set is the incidence it carries: the points on a facet, or
 the inequalities tight at a vertex.  Nothing downstream recomputes it.  The
@@ -17,6 +21,7 @@ as vertex bitmasks (``face_masks``), the face format of ``complexes``;
 
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import lcm
 from operator import mul, or_
 
@@ -28,6 +33,13 @@ from .errors import (
 )
 from .intops import echelon, echelon_kernel, int_row, primitive
 from .signvec import members, vertex_tuple_from_bits
+
+
+def _require_exact(kinds):
+    """Raise TypeError unless every type in ``kinds`` is an int or a Fraction."""
+    for kind in kinds:
+        if not issubclass(kind, (int, Fraction)):
+            raise TypeError(f"entries must be int or Fraction, not {kind.__name__}")
 
 
 class HPolytope:
@@ -43,6 +55,8 @@ class HPolytope:
         self.dim = dim
         ineqs = []
         for normal, rhs in inequalities:
+            normal = tuple(normal)
+            _require_exact({type(rhs), *map(type, normal)})
             normal = tuple(Fraction(x) for x in normal)
             if len(normal) != dim:
                 raise DimensionError("normal length differs from dimension")
@@ -62,18 +76,34 @@ class HPolytope:
 
 
 class VPolytope:
-    """Vertex description with optional sign-vector labels per point."""
+    """Vertex description with optional sign-vector labels per point.
 
-    __slots__ = ("dim", "points", "labels")
+    Point i is ``coords[i] / scale``: integer coordinates over one positive
+    integer denominator.  The constructor reads point i as
+    ``points[i] / scale``, with int or Fraction entries, and clears any
+    Fractions into ``scale``.  ``points`` is the rational view.
+    """
 
-    def __init__(self, dim, points, labels=None):
+    __slots__ = ("dim", "coords", "scale", "labels")
+
+    def __init__(self, dim, points, labels=None, scale=1):
         self.dim = dim
-        pts = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in p) for p in points)
+        pts = tuple(map(tuple, points))
         if any(len(p) != dim for p in pts):
             raise DimensionError("point length differs from dimension")
+        kinds = set(map(type, chain.from_iterable(pts)))
+        _require_exact(kinds)
+        if type(scale) is not int or scale < 1:
+            raise ValueError("scale must be a positive int")
+        if not kinds <= {int}:
+            # Fractions (and bools) become ints over one common denominator
+            den = lcm(*(x.denominator for p in pts for x in p))
+            pts = tuple(tuple(x.numerator * (den // x.denominator) for x in p) for p in pts)
+            scale *= den
         if len(set(pts)) != len(pts):
             raise ValueError("points must be pairwise distinct")
-        self.points = pts
+        self.coords = pts
+        self.scale = scale
         if labels is not None:
             labels = tuple(tuple(s) for s in labels)
             if len(labels) != len(pts):
@@ -83,6 +113,12 @@ class VPolytope:
             if len({len(s) for s in labels}) > 1:
                 raise ValueError("labels must have uniform length")
         self.labels = labels
+
+    @property
+    def points(self):
+        """The points as Fraction tuples, rebuilt on each read."""
+        s = self.scale
+        return tuple(tuple(Fraction(x, s) for x in p) for p in self.coords)
 
     def to_json_dict(self):
         d = {
@@ -212,10 +248,14 @@ def _extreme_rays(rows, width):
 
 
 def vertices_and_tight_sets(h: HPolytope):
-    """All vertices of a bounded H-polytope, sorted, each paired with the
-    frozenset of indices of the inequalities tight at it.  The sort key is
-    y * (L // t), L the lcm of the vertices' t: the points over one
-    denominator, so no Fractions are compared.
+    """All vertices of a bounded H-polytope over one denominator, sorted.
+
+    Returns ``(verts, scale)``: ``verts`` pairs each vertex's integer
+    coordinates y * (scale // t) with the frozenset of indices of the
+    inequalities tight at it, and ``scale`` is L, the lcm of the vertices'
+    t, so vertex i is ``verts[i][0] / scale``.  The sort is by those
+    integer coordinates, which orders the vertices as their rational
+    values.
 
     The extreme rays (y, t) of the homogenized cone
     {(y, t) : normal . y <= rhs * t, t >= 0} are the vertices y / t when
@@ -245,13 +285,15 @@ def vertices_and_tight_sets(h: HPolytope):
     if len(finite) < len(rays):
         raise UnboundedPolytopeError("recession cone has an extreme ray")
     den = lcm(*(ray[d] for ray, _ in finite))
-    finite.sort(key=lambda e: [x * (den // e[0][d]) for x in e[0][:d]])
-    return [(tuple(Fraction(x, ray[d]) for x in ray[:d]), tight) for ray, tight in finite]
+    verts = [(tuple(x * (den // ray[d]) for x in ray[:d]), tight) for ray, tight in finite]
+    verts.sort(key=lambda e: e[0])
+    return verts, den
 
 
 def vertices_from_hrep(h: HPolytope) -> VPolytope:
     """All vertices of a bounded H-polytope, sorted."""
-    return VPolytope(h.dim, [p for p, _ in vertices_and_tight_sets(h)])
+    verts, scale = vertices_and_tight_sets(h)
+    return VPolytope(h.dim, [p for p, _ in verts], scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +308,19 @@ def facets_from_vrep(v: VPolytope) -> IncidenceStructure:
     nonnegative on every point, u . (x, 1) >= 0; a facet's vertex set is the
     ray's zero set.  Non-vertex points on a facet belong to its incidence.
     """
-    d = v.dim
-    # one common scale clears every denominator and keeps the hull
-    mult = lcm(*(x.denominator for p in v.points for x in p))
-    hom = [tuple(x.numerator * (mult // x.denominator) for x in p) + (1,) for p in v.points]
-    rays = _extreme_rays(hom, d + 1)
+    d, mult = v.dim, v.scale
+    rays = _extreme_rays([p + (1,) for p in v.coords], d + 1)
     if rays is None:
         raise SpanError("points do not affinely span the ambient space")
     entries = []
     for u, inc in rays:
-        # u . (x, 1) >= 0 on the unscaled points: -mult*u[:d] . x <= u[d], made primitive
+        # u . (x, 1) >= 0 on the unscaled points: -mult*u[:d] . x <= u[d],
+        # made primitive, so the same at every scale
         row = primitive((*(-mult * a for a in u[:d]), u[d]))
         entries.append((inc, (row[:-1], row[-1])))
     entries.sort(key=lambda e: e[1])
     return IncidenceStructure(
-        vertex_count=len(v.points),
+        vertex_count=len(v.coords),
         incidence=[inc for inc, _ in entries],
         labels=v.labels,
         inequalities=tuple(ineq for _, ineq in entries),

@@ -106,7 +106,7 @@ def upper_face_subdivision(n, d):
     if not cells:
         raise ConstructionError("no upper facets found")
 
-    if reduce(or_, cells) != (1 << len(lower.points)) - 1:
+    if reduce(or_, cells) != (1 << len(lower.coords)) - 1:
         raise ConstructionError("cells do not cover every vertex")
 
     lower_facets = [sum(1 << i for i in f) for f in inc_lower.incidence]

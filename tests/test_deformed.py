@@ -93,7 +93,7 @@ def _lattice_cube_check(h):
     # verify_skeleton_equivalence does at r = n - 1
     n = h.dim
     try:
-        verts = vertices_and_tight_sets(h)
+        verts, _ = vertices_and_tight_sets(h)
     except NcpolyError:
         return False
     if len(verts) != 2 ** n:
@@ -253,6 +253,23 @@ def test_project_last_collision_error():
     v = VPolytope(2, [(0, 1), (1, 1)])
     with pytest.raises(SkeletonViolationError):
         project_last(v, 1)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_project_last_refuses_a_target_below_one(d):
+    # a bad argument, not a collapsed projection or a dimension mismatch
+    v = VPolytope(2, [(0, 1), (1, 1)])
+    with pytest.raises(ValueError, match=r"^projection target must be at least 1$"):
+        project_last(v, d)
+
+
+def test_project_last_keeps_the_denominator():
+    # at eps = 3/37 the cube's vertices share the denominator 27
+    v = cube_vertices_labeled(build_deformed_cube(3, Fraction(3, 37)))
+    p = project_last(v, 2)
+    assert v.scale == p.scale == 27
+    assert p.coords == tuple(c[1:] for c in v.coords)
+    assert p.points == tuple(q[1:] for q in v.points) and p.labels == v.labels
 
 
 def test_projected_cube_rejects_uncertified_epsilon():

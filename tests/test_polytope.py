@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ncpoly import classify, polytope
 from ncpoly.deformed import build_deformed_cube, projected_cube
 from ncpoly.errors import (
+    DimensionError,
     EmptyPolytopeError,
     NcpolyError,
     SpanError,
@@ -399,11 +400,17 @@ def test_random_box_cuts_round_trip():
         assert vertices_from_hrep(HPolytope(d, inc.inequalities)).points == v.points
 
 
+def _rational_vertices(h):
+    """``vertices_and_tight_sets`` with each vertex as a Fraction tuple."""
+    verts, scale = vertices_and_tight_sets(h)
+    return [(tuple(Fraction(x, scale) for x in p), tight) for p, tight in verts]
+
+
 def test_tight_sets_match_fraction_evaluation():
     # the zero sets the H->V hull returns are exactly the inequalities that
     # hold with equality at each vertex, evaluated in exact rationals
     for h in _random_box_cuts():
-        for point, tight in vertices_and_tight_sets(h):
+        for point, tight in _rational_vertices(h):
             assert tight == {
                 i
                 for i, (normal, rhs) in enumerate(h.inequalities)
@@ -412,20 +419,88 @@ def test_tight_sets_match_fraction_evaluation():
 
 
 def test_vertices_come_in_fraction_tuple_order():
-    # the integer sort key orders the vertices as comparing their Fraction
-    # tuples does, on deformed cubes too; at eps = 3/37 one coordinate has
-    # different denominators at different vertices
+    # the integer coordinates over one denominator order the vertices as
+    # comparing their Fraction tuples does, on deformed cubes too; at
+    # eps = 3/37 one coordinate has different denominators at different
+    # vertices
     cubes = {
         (n, eps): build_deformed_cube(n, eps)
         for n in range(3, 7)
         for eps in (Fraction(1, 3), Fraction(3, 37), Fraction(2, 9))
     }
     for h in [*_random_box_cuts(), *cubes.values()]:
-        verts = vertices_and_tight_sets(h)
+        verts = _rational_vertices(h)
         assert verts == sorted(verts, key=lambda e: e[0])
     for (n, eps), h in cubes.items():
-        dens = {tuple(x.denominator for x in p) for p, _ in vertices_and_tight_sets(h)}
+        dens = {tuple(x.denominator for x in p) for p, _ in _rational_vertices(h)}
         assert (len(dens) > 1) is (eps == Fraction(3, 37)), (n, eps)
+
+
+def _reference_vertices_and_tight_sets(h):
+    """Reference H->V in Fractions: each vertex y / t of a ray (y, t) of the
+    homogenized cone as a Fraction tuple, with its tight set, sorted by
+    those tuples; the errors as ``vertices_and_tight_sets`` raises them."""
+    d = h.dim
+    int_rows = [int_row(normal + (rhs,)) for normal, rhs in h.inequalities]
+    cone = [tuple(-x for x in r[:-1]) + (r[-1],) for r in int_rows]
+    cone.append((0,) * d + (1,))
+    rays = _extreme_rays(cone, d + 1)
+    if rays is None:
+        basis = [e for _, e, _ in echelon([c[:d] for c in cone])]
+        sub = [tuple(sum(a * b for a, b in zip(c, e)) for e in basis) + (c[d],) for c in cone]
+        if any(ray[-1] for ray, _ in _extreme_rays(sub, len(basis) + 1)):
+            raise UnboundedPolytopeError("normals do not span; feasible set has a line")
+        raise EmptyPolytopeError("inconsistent inequality system")
+    finite = [(ray, tight) for ray, tight in rays if ray[d]]
+    if not finite:
+        raise EmptyPolytopeError("no basic feasible point")
+    if len(finite) < len(rays):
+        raise UnboundedPolytopeError("recession cone has an extreme ray")
+    return sorted(
+        ((tuple(Fraction(x, ray[d]) for x in ray[:d]), tight) for ray, tight in finite),
+        key=lambda e: e[0],
+    )
+
+
+def _h_fixtures():
+    """The H-systems of this module and of the cube check in
+    ``test_deformed``, and deformed cubes for 2 <= n <= 8 at five eps."""
+    from test_deformed import _cube_check_family
+
+    yield from (unit_square(), _cube_hrep(3), _cube_hrep(4, bound=2))
+    yield from _random_box_cuts()
+    yield from _rank_deficient_systems(300)
+    yield from _cube_check_family()
+    for n in range(2, 9):
+        for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(2, 9), Fraction(3, 37)):
+            yield build_deformed_cube(n, eps)
+
+
+def _outcome(f, h):
+    try:
+        return f(h)
+    except NcpolyError as exc:
+        return type(exc), str(exc)
+
+
+def test_integer_vertices_match_the_fraction_reference():
+    # the same vertices, order, tight sets and errors; the scale is the
+    # least common denominator of the vertices' rays, so it is no smaller
+    # than the denominators the reduced Fractions have
+    outcomes = Counter()
+    for h in _h_fixtures():
+        want = _outcome(_reference_vertices_and_tight_sets, h)
+        got = _outcome(vertices_and_tight_sets, h)
+        if isinstance(want, list):
+            verts, scale = got
+            assert all(type(x) is int for p, _ in verts for x in p)
+            assert scale % lcm(*(x.denominator for p, _ in want for x in p)) == 0
+            assert _rational_vertices(h) == want
+            outcomes["vertices"] += 1
+        else:
+            assert got == want, h.inequalities
+            outcomes["error"] += 1
+    assert outcomes == {"vertices": 206, "error": 316}
 
 
 def _fm_feasible(rows, d):
@@ -506,8 +581,9 @@ def test_vertices_are_independent_of_row_order():
     rng = random.Random(20261020)
     for h in _random_box_cuts():
         rows, perm = _shuffled(rng, h.inequalities)
-        other = vertices_and_tight_sets(HPolytope(h.dim, rows))
-        assert [(p, frozenset(perm[i] for i in t)) for p, t in other] == vertices_and_tight_sets(h)
+        other, scale = vertices_and_tight_sets(HPolytope(h.dim, rows))
+        renamed = [(p, frozenset(perm[i] for i in t)) for p, t in other]
+        assert (renamed, scale) == vertices_and_tight_sets(h)
     for h in _rank_deficient_systems(300):
         rows, _ = _shuffled(rng, h.inequalities)
         assert _hrep_error(HPolytope(h.dim, rows)) == _hrep_error(h)
@@ -684,8 +760,7 @@ def all_facets_face_masks(inc):
 
 def _homogenized(v):
     """The rows ``facets_from_vrep`` hands to ``_extreme_rays``."""
-    mult = lcm(*(x.denominator for p in v.points for x in p))
-    return [tuple(int(x * mult) for x in p) + (1,) for p in v.points]
+    return [p + (1,) for p in v.coords]
 
 
 @st.composite
@@ -716,6 +791,103 @@ def test_hull_and_lattice_match_references_on_drawn_sets(v):
     inc = facets_from_vrep(v)
     assert (list(inc.incidence), list(inc.inequalities)) == _brute_force_facets(v)
     assert face_masks(inc) == all_facets_face_masks(inc)
+
+
+def _same_structure(a, b):
+    return (a.vertex_count, a.incidence, a.inequalities, a.labels) == (
+        b.vertex_count, b.incidence, b.inequalities, b.labels
+    )
+
+
+def _rescaled(v, k):
+    """The points of ``v`` again, as coords times k over scale times k."""
+    return VPolytope(v.dim, [tuple(k * x for x in p) for p in v.coords], v.labels, k * v.scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_box_point_sets(), st.integers(2, 10**12))
+def test_hull_is_the_same_at_every_scale(v, k):
+    # the primitive facet inequalities do not depend on the common
+    # denominator, nor does the incidence
+    try:
+        inc = facets_from_vrep(v)
+    except SpanError:
+        with pytest.raises(SpanError):
+            facets_from_vrep(_rescaled(v, k))
+        return
+    assert _same_structure(facets_from_vrep(_rescaled(v, k)), inc)
+
+
+def test_hull_is_the_same_at_every_scale_on_rational_sets():
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 30:
+        d = 2 + checked % 3
+        pts = {
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d))
+            for _ in range(rng.randint(d + 1, 9))
+        }
+        v = VPolytope(d, sorted(pts), labels=[(i,) for i in range(len(pts))])
+        try:
+            inc = facets_from_vrep(v)
+        except SpanError:
+            continue
+        for k in (2, 3, 7 ** 20):
+            assert _same_structure(facets_from_vrep(_rescaled(v, k)), inc)
+        checked += 1
+
+
+def test_rational_and_integer_points_give_one_polytope():
+    rational = [(Fraction(1, 2), Fraction(-3, 4)), (2, Fraction(5, 6)), (Fraction(-4, 3), 0)]
+    labels = [(1, -1), (1, 1), (-1, 1)]
+    a = VPolytope(2, rational, labels)
+    assert a.scale == 12 and a.coords == ((6, -9), (24, 10), (-16, 0))
+    # the same points at a scale that is not the least one
+    b = VPolytope(2, [(30, -45), (120, 50), (-80, 0)], labels, scale=60)
+    assert all(type(x) is int for p in a.coords + b.coords for x in p)
+    assert a.points == b.points == tuple(
+        tuple(Fraction(x) for x in p) for p in rational
+    )
+    assert a.to_json_dict() == b.to_json_dict() == {
+        "dim": 2,
+        "points": [["1/2", "-3/4"], ["2", "5/6"], ["-4/3", "0"]],
+        "labels": ["+-", "++", "-+"],
+    }
+    # whole-valued Fractions become ints and leave the scale at 1
+    c = VPolytope(2, [(Fraction(4, 2), 1), (0, Fraction(3))])
+    assert c.scale == 1 and c.coords == ((2, 1), (0, 3))
+    assert [type(x) for p in c.coords for x in p] == [int] * 4
+
+
+def test_vpolytope_checks_hold_on_integer_points():
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        VPolytope(2, [(2, 4), (2, 4)], scale=2)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        # one point, 3/2, once with a whole-valued Fraction entry
+        VPolytope(1, [(Fraction(6, 2),), (3,)], scale=2)
+    with pytest.raises(DimensionError):
+        VPolytope(2, [(1, 2), (3,)], scale=5)
+    with pytest.raises(ValueError, match="one label per point"):
+        VPolytope(1, [(1,), (2,)], labels=[(1,)], scale=4)
+    with pytest.raises(ValueError, match="labels must be pairwise distinct"):
+        VPolytope(1, [(1,), (2,)], labels=[(1,), (1,)], scale=4)
+    with pytest.raises(ValueError, match="uniform length"):
+        VPolytope(1, [(1,), (2,)], labels=[(1,), (1, -1)], scale=4)
+    for scale in (0, -2, 2.0, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="scale must be a positive int"):
+            VPolytope(1, [(1,)], scale=scale)
+
+
+def test_vpolytope_refuses_float_points():
+    with pytest.raises(TypeError, match="not float"):
+        VPolytope(2, [(0.1, 0), (1, 1), (0, 1)])
+
+
+def test_hpolytope_refuses_float_entries():
+    with pytest.raises(TypeError, match="not float"):
+        HPolytope(2, [((1, 0), 1), ((0, 0.5), 1)])
+    with pytest.raises(TypeError, match="not float"):
+        HPolytope(1, [((1,), 0.25)])
 
 
 def _adjacency_branches(v):

@@ -64,9 +64,8 @@ def first_construction(d):
     if set(hv.points) != set(v.points):
         raise TheoremViolationError("H- and V-descriptions disagree")
     inc = facets_from_vrep(v)
-    want = {tuple(Fraction(x) for x in n) + (Fraction(rhs),) for n, rhs in ineqs}
-    got = {tuple(Fraction(x) for x in n) + (Fraction(rhs),) for n, rhs in inc.inequalities}
-    if want != got:
+    # both sides are primitive integer rows (normal..., rhs)
+    if set(h.rows) != {n + (rhs,) for n, rhs in inc.inequalities}:
         raise TheoremViolationError("oracle facets differ from the stated system")
     return h, v
 

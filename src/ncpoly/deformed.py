@@ -18,19 +18,20 @@ The deformation matrix is written once, in column form, in
 ``deformation_columns``, with integer entries.  The positive-circuit test
 takes its n-d+1 rows as columns, which is what its elimination reads;
 ``deformation_rows`` is their transpose, from which the certificate takes
-its n eps = 0 rows in one call, and ``build_deformed_cube`` its 2n normals,
-those rows over eps's denominator.
+its n eps = 0 rows in one call, and ``build_deformed_cube`` its 2n rows,
+handed to ``HPolytope`` as integers over one scale.
 
 Every eps decision is made here: ``common_epsilon`` walks the one ladder
-1/2, 1/4, ..., 1/2^64 over one minor table per dimension it must certify.
+1/2, 1/4, ..., 1/2^64 over one minor table per dimension it must certify,
+and a given eps is read by ``_epsilon``, which refuses a float.
 
 That the deformed cube is combinatorially the n-cube is read off the tight
 sets H->V returns, with no face lattice: ``cube_vertices_labeled`` labels
 each vertex by its tight side of every pair and checks for 2^n distinct
 labels.  Every ``projected_cube`` runs that check.  The cube's vertices
 stay integer coordinates over the one denominator H->V returns, and
-``project_last`` slices them and keeps it, so no Fraction is built on the
-way from H->V to the hull.
+``project_last`` slices them and keeps it, so no Fraction is built from
+the cube's rows through H->V to the hull.
 """
 
 from dataclasses import dataclass
@@ -81,18 +82,27 @@ def deformation_rows(n, d, signed_rows, epsilon):
     return list(zip(*cols)) if cols else [()] * len(signed_rows)
 
 
-def build_deformed_cube(n, epsilon) -> HPolytope:
-    """The 2n inequalities, ordered k = 1..n with the minus side first."""
+def _epsilon(epsilon) -> Fraction:
+    """eps in (0, 1] as a Fraction; a float is refused, not being exact."""
+    if isinstance(epsilon, float):
+        raise TypeError("epsilon must be an int, a Fraction or a string, not float")
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
+    return eps
+
+
+def build_deformed_cube(n, epsilon) -> HPolytope:
+    """The 2n inequalities, k = 1..n with the minus side first, over q p^(n-1)
+    at eps = p/q: ``deformation_rows``' row k times p^(n-1), rhs 2^C(k,2) q^k p^(n-k)."""
+    eps = _epsilon(epsilon)
+    p, q = eps.numerator, eps.denominator
     signed = [(k, sigma) for k in range(1, n + 1) for sigma in (-1, 1)]
-    # at d = 0 every row carries eps, so every row is scaled by q
-    q = eps.denominator
+    lift = p ** (n - 1)
     return HPolytope(n, [
-        (tuple(Fraction(x, q) for x in row), 2 ** comb(k, 2) / eps ** (k - 1))
+        (tuple(lift * x for x in row), 2 ** comb(k, 2) * q ** k * p ** (n - k))
         for (k, _), row in zip(signed, deformation_rows(n, 0, signed, eps))
-    ])
+    ], q * lift)
 
 
 def _minor_table(n, d):
@@ -146,9 +156,7 @@ def certify_epsilon(n, d, epsilon) -> bool:
     nonzero and agree in sign with its value at epsilon = 0.
     """
     table = _minor_table(n, d)
-    eps = Fraction(epsilon)
-    if not 0 < eps <= 1:
-        raise ValueError("epsilon must lie in (0, 1]")
+    eps = _epsilon(epsilon)
     return all(_keeps_sign(coeffs, eps) for coeffs in table)
 
 
@@ -227,12 +235,10 @@ class ProjectedCube:
 
 def projected_cube(n, d, epsilon=None) -> ProjectedCube:
     """Build the certified projection pipeline for parameters (n, d)."""
-    if not n >= d >= 2:
-        raise ValueError("need n >= d >= 2")
     if epsilon is None:
         eps = choose_epsilon(n, d)
     else:
-        eps = Fraction(epsilon)
+        eps = _epsilon(epsilon)
         if not certify_epsilon(n, d, eps):
             raise ConstructionError(f"epsilon {eps} fails the minor-sign certificate")
     h = build_deformed_cube(n, eps)

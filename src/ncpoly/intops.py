@@ -6,11 +6,12 @@ precision), with fraction-free eliminations (Bareiss 1968) so intermediate
 values stay integral.  Determinants come from ``bareiss_det``; rank and
 kernels come from the one ``echelon`` routine, a flat list of (index, row,
 pivot column) triples (a left kernel is the right kernel of the columns).
-Rational rows enter through ``int_row``.  The innermost loops (the content
-gcd, the back-substitution dot product) are single calls into C builtins,
-and a row is divided by its content once, only when that is above 1.
+Rational rows enter through ``clear_denominators``.  The innermost loops
+(the content gcd, the back-substitution dot product) are single calls into
+C builtins, and a row is divided by its content once, only when above 1.
 """
 
+from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -23,14 +24,23 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
-def int_row(row):
-    """A rational row times the lcm of its denominators, as integers.
-
-    The scale is positive, so it keeps the sign of every minor, and the sign
-    pattern of every left-kernel vector (v_i becomes v_i / c_i, c_i > 0).
-    """
-    mult = lcm(*(x.denominator for x in row))
-    return tuple(x.numerator * (mult // x.denominator) for x in row)
+def clear_denominators(rows, scale=1):
+    """Rows of int or Fraction entries over the positive int ``scale``, as
+    ``(ints, den)``, row i being ``ints[i] / den``.  One positive scale for
+    all rows keeps the sign of every minor and every left-kernel vector.  A
+    float entry raises TypeError: it is not exact."""
+    if type(scale) is not int or scale < 1:
+        raise ValueError("scale must be a positive int")
+    rows = tuple(map(tuple, rows))
+    kinds = {type(x) for r in rows for x in r}
+    for kind in kinds:
+        if not issubclass(kind, (int, Fraction)):
+            raise TypeError(f"entries must be int or Fraction, not {kind.__name__}")
+    if kinds <= {int}:
+        return rows, scale
+    # Fractions (and bools) become ints over one common denominator
+    den = lcm(*(x.denominator for r in rows for x in r))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in rows), scale * den
 
 
 def bareiss_det(rows):

@@ -8,8 +8,9 @@ its homogenized cone with last coordinate positive.  All arithmetic is on
 Python integers, so results are exact.  A V-polytope keeps its points as
 integer coordinates over one positive denominator (``coords``, ``scale``):
 H->V returns its vertices in that form, and the hull reads them as they
-are.  Fractions appear only in the ``points`` view, in an H-polytope's
-``inequalities`` and in JSON.
+are.  An H-polytope holds its integer rows (normal..., rhs) alike (``rows``,
+``scale``), and H->V cones them as they are.  Fractions appear only in the
+``points`` and ``inequalities`` views and in JSON.
 
 Each ray's zero set is the incidence it carries: the points on a facet, or
 the inequalities tight at a vertex.  Nothing downstream recomputes it.  The
@@ -21,7 +22,6 @@ as vertex bitmasks (``face_masks``), the face format of ``complexes``;
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
 from math import lcm
 from operator import mul, or_
 
@@ -31,39 +31,34 @@ from .errors import (
     SpanError,
     UnboundedPolytopeError,
 )
-from .intops import echelon, echelon_kernel, int_row, primitive
+from .intops import clear_denominators, echelon, echelon_kernel, primitive
 from .signvec import members, vertex_tuple_from_bits
-
-
-def _require_exact(kinds):
-    """Raise TypeError unless every type in ``kinds`` is an int or a Fraction."""
-    for kind in kinds:
-        if not issubclass(kind, (int, Fraction)):
-            raise TypeError(f"entries must be int or Fraction, not {kind.__name__}")
 
 
 class HPolytope:
     """Inequality description: normal . x <= rhs, in a fixed order.
 
     The order of the inequality list is part of the identity; constraint
-    indices are meaningful to callers.
+    indices are meaningful to callers.  Inequality i is ``rows[i] / scale``,
+    integers (normal..., rhs) over one positive int, read as in ``VPolytope``.
     """
 
-    __slots__ = ("dim", "inequalities")
+    __slots__ = ("dim", "rows", "scale")
 
-    def __init__(self, dim, inequalities):
+    def __init__(self, dim, inequalities, scale=1):
         self.dim = dim
-        ineqs = []
-        for normal, rhs in inequalities:
-            normal = tuple(normal)
-            _require_exact({type(rhs), *map(type, normal)})
-            normal = tuple(Fraction(x) for x in normal)
-            if len(normal) != dim:
-                raise DimensionError("normal length differs from dimension")
-            if not any(normal):
-                raise ValueError("all-zero normal")
-            ineqs.append((normal, Fraction(rhs)))
-        self.inequalities = tuple(ineqs)
+        self.rows, self.scale = clear_denominators(((*n, b) for n, b in inequalities), scale)
+        if any(len(r) != dim + 1 for r in self.rows):
+            raise DimensionError("normal length differs from dimension")
+        if not all(any(r[:-1]) for r in self.rows):
+            raise ValueError("all-zero normal")
+
+    @property
+    def inequalities(self):
+        """The (normal, rhs) pairs as Fractions, rebuilt on each read."""
+        s = self.scale
+        rows = [tuple(Fraction(x, s) for x in r) for r in self.rows]
+        return tuple((r[:-1], r[-1]) for r in rows)
 
     def to_json_dict(self):
         return {
@@ -88,22 +83,12 @@ class VPolytope:
 
     def __init__(self, dim, points, labels=None, scale=1):
         self.dim = dim
-        pts = tuple(map(tuple, points))
+        pts, self.scale = clear_denominators(points, scale)
         if any(len(p) != dim for p in pts):
             raise DimensionError("point length differs from dimension")
-        kinds = set(map(type, chain.from_iterable(pts)))
-        _require_exact(kinds)
-        if type(scale) is not int or scale < 1:
-            raise ValueError("scale must be a positive int")
-        if not kinds <= {int}:
-            # Fractions (and bools) become ints over one common denominator
-            den = lcm(*(x.denominator for p in pts for x in p))
-            pts = tuple(tuple(x.numerator * (den // x.denominator) for x in p) for p in pts)
-            scale *= den
         if len(set(pts)) != len(pts):
             raise ValueError("points must be pairwise distinct")
         self.coords = pts
-        self.scale = scale
         if labels is not None:
             labels = tuple(tuple(s) for s in labels)
             if len(labels) != len(pts):
@@ -265,8 +250,7 @@ def vertices_and_tight_sets(h: HPolytope):
     not describe a (nonempty, bounded) polytope.
     """
     d = h.dim
-    int_rows = [int_row(normal + (rhs,)) for normal, rhs in h.inequalities]
-    cone = [tuple(-x for x in r[:-1]) + (r[-1],) for r in int_rows]
+    cone = [tuple(-x for x in r[:-1]) + (r[-1],) for r in h.rows]
     cone.append((0,) * d + (1,))
     rays = _extreme_rays(cone, d + 1)
     # the cone has rank d+1 exactly when the normals span R^d

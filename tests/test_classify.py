@@ -19,7 +19,7 @@ from ncpoly.classify import (
     verify_ambiguity_witnesses,
 )
 from ncpoly.gale import f_formula
-from ncpoly.intops import bareiss_det, int_row
+from ncpoly.intops import bareiss_det, clear_denominators
 from ncpoly.polytope import (
     VPolytope,
     f_vector,
@@ -274,7 +274,7 @@ def test_noncubical_witness_heights_satisfy_coplanarity():
             [r[i] - p[i] for i in range(3)],
             [s[i] - p[i] for i in range(3)],
         ]
-        return bareiss_det([int_row(r) for r in rows]) == 0
+        return bareiss_det(clear_denominators(rows)[0]) == 0
 
     assert coplanar(A, B, C, D)
     assert coplanar(B, C, F, H)

@@ -12,7 +12,7 @@ from ncpoly.cyclic import (
     positive_cocircuit_facets,
 )
 from ncpoly.errors import DimensionError
-from ncpoly.intops import bareiss_det, echelon, int_row
+from ncpoly.intops import bareiss_det, clear_denominators, echelon
 from ncpoly.polytope import VPolytope, facets_from_vrep
 
 # The chirotope and the dual configuration are oriented-matroid facts about
@@ -25,7 +25,7 @@ def chirotope(cfg: CyclicConfiguration, subset):
     subset = tuple(subset)
     if len(subset) != cfg.rank:
         raise DimensionError("subset size must equal the rank")
-    det = bareiss_det([int_row(cfg.row(i)) for i in subset])
+    det = bareiss_det(clear_denominators(cfg.row(i) for i in subset)[0])
     return 0 if det == 0 else (1 if det > 0 else -1)
 
 
@@ -43,8 +43,8 @@ def dual_configuration(cfg: CyclicConfiguration):
 
 def rank_pair(cfg: CyclicConfiguration):
     return (
-        len(echelon([int_row(cfg.row(i)) for i in range(cfg.n)])),
-        len(echelon([int_row(r) for r in dual_configuration(cfg)])),
+        len(echelon(clear_denominators(cfg.row(i) for i in range(cfg.n))[0])),
+        len(echelon(clear_denominators(dual_configuration(cfg))[0])),
     )
 
 
@@ -78,11 +78,11 @@ def test_dual_minor_signs_follow_reorientation():
     dual = dual_configuration(cfg)
     dual_rank = cfg.n - cfg.rank
     for subset in combinations(range(6), dual_rank):
-        m = [int_row(dual[i]) for i in subset]
-        plain = [
-            int_row(tuple(Fraction(cfg.ts[i]) ** j for j in range(dual_rank)))
-            for i in subset
-        ]
+        # the rows differ only in sign, so they clear over one denominator
+        m = clear_denominators(dual[i] for i in subset)[0]
+        plain = clear_denominators(
+            tuple(Fraction(cfg.ts[i]) ** j for j in range(dual_rank)) for i in subset
+        )[0]
         flips = sum(1 for i in subset if i % 2 == 1)
         assert bareiss_det(m) == (-1) ** flips * bareiss_det(plain)
         assert bareiss_det(plain) > 0
@@ -141,9 +141,9 @@ def test_contraction_of_first_element_is_alternating():
     # with t1 = 0 the contraction is the first-row-and-column deletion;
     # rescaling rows by 1/t brings back moment rows, so minors stay positive
     cfg = cyclic_configuration(6, 3, ts=(0, 1, 2, 3, 4, 5))
-    contracted = [
-        int_row(tuple(Fraction(t) ** j for j in range(1, 4))) for t in cfg.ts[1:]
-    ]
+    contracted = clear_denominators(
+        tuple(Fraction(t) ** j for j in range(1, 4)) for t in cfg.ts[1:]
+    )[0]
     assert len(echelon(contracted)) == 3
     for subset in combinations(range(5), 3):
         assert bareiss_det([contracted[i] for i in subset]) > 0

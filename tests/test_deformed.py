@@ -22,7 +22,7 @@ from ncpoly.deformed import (
     projected_cube,
 )
 from ncpoly.errors import ConstructionError, NcpolyError, SkeletonViolationError
-from ncpoly.intops import bareiss_det, int_row
+from ncpoly.intops import bareiss_det, clear_denominators
 from ncpoly.polytope import (
     HPolytope,
     IncidenceStructure,
@@ -52,6 +52,30 @@ def test_epsilon_range_enforced():
         build_deformed_cube(3, Fraction(3, 2))
     with pytest.raises(ValueError):
         build_deformed_cube(3, 0)
+
+
+def test_build_refuses_a_float_epsilon():
+    # 0.1 is not 1/10: as a Fraction it is 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="not float"):
+        build_deformed_cube(3, 0.1)
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\]$"):
+        build_deformed_cube(3, "3/2")
+
+
+def test_certificate_refuses_a_float_epsilon():
+    with pytest.raises(TypeError, match="not float"):
+        certify_epsilon(5, 3, 0.25)
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\]$"):
+        certify_epsilon(5, 3, 0)
+    assert certify_epsilon(5, 3, "1/4") is certify_epsilon(5, 3, Fraction(1, 4))
+
+
+def test_projected_cube_refuses_a_float_epsilon():
+    with pytest.raises(TypeError, match="not float"):
+        projected_cube(4, 3, 0.25)
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\]$"):
+        projected_cube(4, 3, 2)
+    assert projected_cube(4, 3, "1/4").epsilon == Fraction(1, 4)
 
 
 def test_square_case_vertices_by_hand():
@@ -399,15 +423,20 @@ def _fraction_amatrix_row(n, d, k, sigma, eps):
 def test_integer_rows_are_the_cleared_rational_rows():
     # the integer row is the rational row times the lcm of its denominators;
     # at d = 0 its rational view is the cube's normal vector, beside the
-    # right-hand side 2^C(k,2)/eps^(k-1).  One call returns the requested
-    # rows in the requested order, singly or together.
+    # right-hand side 2^C(k,2)/eps^(k-1), and the cube holds it as an
+    # integer row over its scale.  One call returns the requested rows in
+    # the requested order, singly or together.
     rng = random.Random(5150)
     dyadic = [Fraction(1, 2 ** e) for e in rng.sample(range(1, 65), 4)]
-    for eps in [Fraction(0), Fraction(1), Fraction(3, 37), Fraction(2, 9), *dyadic]:
+    named = [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 37), Fraction(2, 9)]
+    for eps in [Fraction(0), *named, *dyadic]:
         for n in range(1, 10):
             signed = [(k, sigma) for k in range(n, 0, -1) for sigma in (-1, 1)]
             for d in range(n + 1):
-                want = [int_row(_fraction_amatrix_row(n, d, k, s, eps)) for k, s in signed]
+                want = [
+                    clear_denominators([_fraction_amatrix_row(n, d, k, s, eps)])[0][0]
+                    for k, s in signed
+                ]
                 assert deformation_rows(n, d, signed, eps) == want, (n, d, eps)
                 for (k, sigma), row in zip(signed, want):
                     assert deformation_rows(n, d, [(k, sigma)], eps) == [row], (n, d, k, sigma, eps)
@@ -417,7 +446,9 @@ def test_integer_rows_are_the_cleared_rational_rows():
                     for k in range(1, n + 1)
                     for sigma in (-1, 1)
                 ]
-                assert list(build_deformed_cube(n, eps).inequalities) == want, (n, eps)
+                cube = build_deformed_cube(n, eps)
+                assert list(cube.inequalities) == want, (n, eps)
+                assert all(type(x) is int for row in cube.rows for x in row), (n, eps)
 
 
 def test_rows_are_the_transposed_columns():

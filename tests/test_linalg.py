@@ -1,23 +1,23 @@
 """Exact linear algebra on the integer kernels of ``ncpoly.intops``.
 
-Rational input enters through ``int_row``, which scales each row by a
-positive integer; the tests check the determinant, rank and left-kernel
-routines against independent oracles and that the scaling keeps every sign
-the certificate, the circuit test and the chirotope read.
+Rational input enters through ``clear_denominators``, which scales every
+row by one positive integer; the tests check the determinant, rank and
+left-kernel routines against independent oracles and that the scaling keeps
+every sign the certificate, the circuit test and the chirotope read.
 """
 
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import gcd
 
 import pytest
 
 from ncpoly.intops import (
     bareiss_det,
+    clear_denominators,
     echelon,
     echelon_kernel,
-    int_row,
 )
 
 
@@ -78,10 +78,10 @@ def test_determinant_rejects_non_square():
 
 def test_determinant_rational_entries():
     m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
-    rows = [int_row(r) for r in m]
-    assert rows == [(3, 2), (7, 5)]
-    # the row scales are 6 and 35; the determinant scales by their product
-    assert Fraction(bareiss_det(rows), 6 * 35) == Fraction(1, 14) - Fraction(1, 15)
+    rows, den = clear_denominators(m)
+    assert (rows, den) == (((105, 70), (42, 30)), 210)
+    # every row is scaled by 210, so the determinant by 210^2
+    assert Fraction(bareiss_det(rows), den ** 2) == Fraction(1, 14) - Fraction(1, 15)
 
 
 def test_kernel_vector_by_inspection():
@@ -139,15 +139,14 @@ def test_kernel_orthogonality_property():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
             for _ in range(cols + 1)
         ]
-        v = left_kernel([int_row(r) for r in m])
+        v = left_kernel(clear_denominators(m)[0])
         if v is None:
             continue
         accepted += 1
-        # v is a kernel vector of the scaled rows c_i * m_i, so v_i * c_i
-        # is one of the rational rows
-        scales = [lcm(*(x.denominator for x in r)) for r in m]
+        # v is a kernel vector of the rows times one common scale, so it is
+        # one of the rational rows
         for j in range(cols):
-            assert sum(v[i] * scales[i] * m[i][j] for i in range(cols + 1)) == 0
+            assert sum(v[i] * m[i][j] for i in range(cols + 1)) == 0
     assert accepted > 20
 
 
@@ -182,10 +181,11 @@ def test_rank_equals_cols_minus_nullity():
         assert len(echelon(m)) == c - _nullity_by_rref(m, c)
 
 
-def test_int_row_keeps_minor_and_kernel_signs():
+def test_common_scale_keeps_minor_and_kernel_signs():
     # positive row scalings leave the sign of every minor and the sign
-    # pattern of every left-kernel vector unchanged; the rational references
-    # are Leibniz determinants and Cramer's rule over Fractions
+    # pattern of every left-kernel vector unchanged, and one common scale
+    # leaves the primitive left-kernel vector itself unchanged; the rational
+    # references are Leibniz determinants and Cramer's rule over Fractions
     rng = random.Random(3141)
 
     def rational_row(width):
@@ -207,7 +207,9 @@ def test_int_row_keeps_minor_and_kernel_signs():
         expected = _sign(_leibniz_det(m))
         singular += expected == 0
         for rows in (m, scaled(m)):
-            assert _sign(bareiss_det([int_row(r) for r in rows])) == expected
+            cleared, den = clear_denominators(rows)
+            assert den > 0 and all(type(x) is int for r in cleared for x in r)
+            assert _sign(bareiss_det(cleared)) == expected
 
         m = [rational_row(n) for _ in range(n + 1)]
         if n > 1 and rng.random() < 0.2:
@@ -217,8 +219,13 @@ def test_int_row_keeps_minor_and_kernel_signs():
         expected = None if lead == 0 else tuple(lead * _sign(x) for x in v)
         regular += expected is not None
         for rows in (m, scaled(m)):
-            k = left_kernel([int_row(r) for r in rows])
+            k = left_kernel(clear_denominators(rows)[0])
             assert (None if k is None else tuple(map(_sign, k))) == expected
+        if expected is not None:
+            # Cramer's vector v, cleared, made primitive and led positive
+            w = clear_denominators([v])[0][0]
+            g = lead * gcd(*w)
+            assert left_kernel(clear_denominators(m)[0]) == tuple(x // g for x in w)
     assert singular > 20 and 100 < regular < 140
 
 

@@ -18,7 +18,7 @@ from ncpoly.errors import (
     SpanError,
     UnboundedPolytopeError,
 )
-from ncpoly.intops import echelon, echelon_kernel, int_row, primitive
+from ncpoly.intops import echelon, echelon_kernel, primitive
 from ncpoly.polytope import (
     HPolytope,
     IncidenceStructure,
@@ -37,10 +37,18 @@ from ncpoly.polytope import (
 from test_linalg import left_kernel
 
 
+def _int_row(row):
+    """A rational row times the lcm of its denominators, as integers: the
+    references' own clearing, one row at a time, apart from ``HPolytope``'s
+    common scale."""
+    mult = lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (mult // x.denominator) for x in row)
+
+
 def canonical_inequality(normal, rhs):
     """Primitive integer form of normal . x <= rhs (positive scaling only):
     the reference for the inequalities ``facets_from_vrep`` writes."""
-    row = primitive(int_row((*normal, rhs)))
+    row = primitive(_int_row((*normal, rhs)))
     return tuple(row[:-1]), row[-1]
 
 
@@ -439,9 +447,11 @@ def test_vertices_come_in_fraction_tuple_order():
 def _reference_vertices_and_tight_sets(h):
     """Reference H->V in Fractions: each vertex y / t of a ray (y, t) of the
     homogenized cone as a Fraction tuple, with its tight set, sorted by
-    those tuples; the errors as ``vertices_and_tight_sets`` raises them."""
+    those tuples; the errors as ``vertices_and_tight_sets`` raises them.
+    The cone is built from the ``inequalities`` view, each row cleared on
+    its own."""
     d = h.dim
-    int_rows = [int_row(normal + (rhs,)) for normal, rhs in h.inequalities]
+    int_rows = [_int_row(normal + (rhs,)) for normal, rhs in h.inequalities]
     cone = [tuple(-x for x in r[:-1]) + (r[-1],) for r in int_rows]
     cone.append((0,) * d + (1,))
     rays = _extreme_rays(cone, d + 1)
@@ -503,6 +513,43 @@ def test_integer_vertices_match_the_fraction_reference():
     assert outcomes == {"vertices": 206, "error": 316}
 
 
+def test_one_h_system_at_every_scale():
+    # a system as built, its rational rows as given, its integer rows times k
+    # over k times its scale, and its rational rows times k over the scale k
+    # (the deformed cubes are built over their own scale): the same view,
+    # JSON, vertices and tight sets, and the same error, class and message,
+    # on infeasible, unbounded and rank-deficient systems
+    rng = random.Random(20261021)
+    outcomes = Counter()
+    for h in _h_fixtures():
+        a = HPolytope(h.dim, h.inequalities)
+        assert all(type(x) is int for r in a.rows for x in r) and a.scale >= 1
+        k = rng.randint(2, 40)
+        b = HPolytope(h.dim, [(tuple(k * x for x in r[:-1]), k * r[-1]) for r in a.rows], k * a.scale)
+        c = HPolytope(h.dim, [(tuple(k * x for x in n), k * r) for n, r in h.inequalities], k)
+        want = _outcome(vertices_and_tight_sets, a)
+        for other in (h, b, c):
+            assert other.inequalities == a.inequalities
+            assert other.to_json_dict() == a.to_json_dict()
+            assert _outcome(vertices_and_tight_sets, other) == want, h.inequalities
+        outcomes[want[0] if isinstance(want[0], type) else "vertices"] += 1
+    assert outcomes == {"vertices": 206, EmptyPolytopeError: 76, UnboundedPolytopeError: 240}
+
+
+def test_hpolytope_rows_are_over_one_scale():
+    h = HPolytope(2, [((Fraction(1, 2), 0), 1), ((0, Fraction(-1, 3)), Fraction(5, 4))])
+    assert (h.rows, h.scale) == (((6, 0, 12), (0, -4, 15)), 12)
+    h = HPolytope(2, [((1, 2), 3), ((-1, 0), 0)], scale=6)
+    assert (h.rows, h.scale) == (((1, 2, 3), (-1, 0, 0)), 6)
+    assert h.inequalities == (
+        ((Fraction(1, 6), Fraction(1, 3)), Fraction(1, 2)),
+        ((Fraction(-1, 6), Fraction(0)), Fraction(0)),
+    )
+    for scale in (0, -2, 2.0, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="scale must be a positive int"):
+            HPolytope(1, [((1,), 1)], scale=scale)
+
+
 def _fm_feasible(rows, d):
     """Reference feasibility of normal . x <= rhs, given as integer rows
     (normal..., rhs): Fourier-Motzkin elimination of one column at a time,
@@ -546,7 +593,7 @@ def _hrep_error(h):
 def test_rank_deficient_verdict_matches_fourier_motzkin():
     feasible = []
     for h in _rank_deficient_systems(2000):
-        feasible.append(_fm_feasible([int_row(n + (r,)) for n, r in h.inequalities], h.dim))
+        feasible.append(_fm_feasible([_int_row(n + (r,)) for n, r in h.inequalities], h.dim))
         want = UnboundedPolytopeError if feasible[-1] else EmptyPolytopeError
         assert _hrep_error(h)[0] is want, h.inequalities
     assert (feasible.count(True), feasible.count(False)) == (1408, 592)

@@ -277,15 +277,14 @@ def _witness_report(points):
     iso = hypercube_graph_iso(graph_of(inc), 5)
     cubical = is_cubical(inc)
     base = [
-        sum(1 << i for i in f)
-        for f, (normal, rhs) in zip(inc.incidence, inc.inequalities)
+        f for f, (normal, rhs) in zip(inc.facets, inc.inequalities)
         if normal == (0, 0, 0, -1) and rhs == 0
     ]
     # the faces of the base facet are the faces of the polytope inside it
     cube_facet_at_base = bool(base) and base[0].bit_count() == 8 and all(
         f.bit_count() == 1 << k for k, fs in masks.items() for f in fs if f & base[0] == f
     )
-    large = sorted(len(f) for f in inc.incidence if len(f) > 8)
+    large = sorted(f.bit_count() for f in inc.facets if f.bit_count() > 8)
     return WitnessReport(
         all_vertices=all_vertices,
         cube_graph=iso is not None,

@@ -116,9 +116,9 @@ def cmd_verify(args):
     # shadow vertex i is cube vertex ids[i], bit j set where labels[i][j] is +1;
     # the labels are distinct, so each facet's sum of ID bits is their OR
     ids = [sum(1 << j for j, s in enumerate(lab) if s == 1) for lab in inc.labels]
-    oracle_masks = {sum(1 << ids[i] for i in f) for f in inc.incidence}
+    oracle_masks = {sum(1 << ids[i] for i in signvec.members(f)) for f in inc.facets}
     checks = {
-        "facet_count_matches_formula": len(inc.incidence) == gale.f_formula(n, d),
+        "facet_count_matches_formula": inc.facet_count == gale.f_formula(n, d),
         "facets_match_combinatorial": oracle_masks == gale.facet_vertex_masks(n, d),
         "cubical": is_cubical(inc),
         "dehn_sommerville": dehn_sommerville_check(fv, d),

@@ -13,6 +13,7 @@ from math import comb
 
 from .errors import DimensionError
 from .polytope import VPolytope, facets_from_vrep
+from .signvec import members
 
 
 @dataclass(frozen=True)
@@ -78,4 +79,4 @@ def positive_cocircuit_facets(cfg: CyclicConfiguration):
     1-based vertex index sets.
     """
     v = VPolytope(cfg.rank - 1, [cfg.row(i)[1:] for i in range(cfg.n)])
-    return {frozenset(i + 1 for i in f) for f in facets_from_vrep(v).incidence}
+    return {members(f << 1) for f in facets_from_vrep(v).facets}

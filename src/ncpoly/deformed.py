@@ -23,7 +23,7 @@ handed to ``HPolytope`` as integers over one scale.
 
 Every eps decision is made here: ``common_epsilon`` walks the one ladder
 1/2, 1/4, ..., 1/2^64 over one minor table per dimension it must certify,
-and a given eps is read by ``_epsilon``, which refuses a float.
+and a given eps is read by ``_fraction``, which refuses a float.
 
 That the deformed cube is combinatorially the n-cube is read off the tight
 sets H->V returns, with no face lattice: ``cube_vertices_labeled`` labels
@@ -56,7 +56,7 @@ def deformation_columns(n, d, signed_rows, epsilon):
     (-1)^k binom(k-2, j-1) at j < k and sigma*eps at j = k.  A row that
     carries the eps entry is scaled by eps's denominator, which keeps the
     sign of every minor and of every left-kernel entry."""
-    eps = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
+    eps = _fraction(epsilon)
     p, q = eps.numerator, eps.denominator
     width = n - d
     cols = [[] for _ in range(width)]
@@ -82,11 +82,16 @@ def deformation_rows(n, d, signed_rows, epsilon):
     return list(zip(*cols)) if cols else [()] * len(signed_rows)
 
 
-def _epsilon(epsilon) -> Fraction:
-    """eps in (0, 1] as a Fraction; a float is refused, not being exact."""
+def _fraction(epsilon) -> Fraction:
+    """eps as a Fraction, as given if one; a float is refused, not being exact."""
     if isinstance(epsilon, float):
         raise TypeError("epsilon must be an int, a Fraction or a string, not float")
-    eps = Fraction(epsilon)
+    return epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon)
+
+
+def _epsilon(epsilon) -> Fraction:
+    """eps in (0, 1] as a Fraction, read by ``_fraction``."""
+    eps = _fraction(epsilon)
     if not 0 < eps <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     return eps
@@ -177,11 +182,11 @@ def choose_epsilon(n, d) -> Fraction:
 
 def _sign_label(tight, n):
     """The tight side (-1 or +1) of each constraint pair k = 1..n, read from
-    a vertex's tight-inequality set; None when a pair has both sides or
-    neither tight."""
-    if any((2 * k in tight) == (2 * k + 1 in tight) for k in range(n)):
+    bits 2k and 2k+1 of a vertex's tight-inequality mask; None when a pair
+    has both sides or neither tight."""
+    if any((tight >> 2 * k & 3) in (0, 3) for k in range(n)):
         return None
-    return tuple(1 if 2 * k + 1 in tight else -1 for k in range(n))
+    return tuple(1 if tight >> 2 * k + 1 & 1 else -1 for k in range(n))
 
 
 def cube_vertices_labeled(h: HPolytope) -> VPolytope:

@@ -12,12 +12,12 @@ are.  An H-polytope holds its integer rows (normal..., rhs) alike (``rows``,
 ``scale``), and H->V cones them as they are.  Fractions appear only in the
 ``points`` and ``inequalities`` views and in JSON.
 
-Each ray's zero set is the incidence it carries: the points on a facet, or
+Each ray's zero set is the incidence it carries, as the bitmask the cone
+routine computes: the points on a facet (``IncidenceStructure.facets``), or
 the inequalities tight at a vertex.  Nothing downstream recomputes it.  The
-face lattice and its grading come from the vertex-facet incidence alone
-(Kaibel & Pfetsch 2002), with no coordinate arithmetic.  Faces are stored
-as vertex bitmasks (``face_masks``), the face format of ``complexes``;
-``face_lattice`` is their frozenset view.
+face lattice is graded from the facet masks alone (Kaibel & Pfetsch 2002)
+into vertex bitmasks (``face_masks``), the face format of ``complexes``;
+``incidence`` and ``face_lattice`` are their frozenset views.
 """
 
 from fractions import Fraction
@@ -116,17 +116,24 @@ class VPolytope:
 
 
 class IncidenceStructure:
-    """Vertex-facet incidence plus the face lattice derived from it."""
+    """Vertex-facet incidence plus the face lattice derived from it: facet i
+    is ``facets[i]``, the nonempty bitmask of its vertices (bit v is vertex v)."""
 
-    def __init__(self, vertex_count, incidence, labels=None, inequalities=None):
+    def __init__(self, vertex_count, facets, labels=None, inequalities=None):
         self.vertex_count = vertex_count
-        self.incidence = tuple(frozenset(s) for s in incidence)
-        self.facet_count = len(self.incidence)
-        if any(not s for s in self.incidence):
-            raise ValueError("empty facet")
+        self.facets = tuple(facets)
+        self.facet_count = len(self.facets)
+        for i, f in enumerate(self.facets):
+            if not 0 < f < 1 << vertex_count:
+                raise ValueError(f"facet {i} is empty or has a vertex past {vertex_count - 1}")
         self.labels = labels
         self.inequalities = inequalities
         self._lattice = None  # face_masks(self), built on first use
+
+    @property
+    def incidence(self):
+        """The facets as frozensets of vertex indices, rebuilt on each read."""
+        return tuple(map(members, self.facets))
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +166,8 @@ def _extreme_rays(rows, width):
     Z's rows, taken until only p and q are left.  ``rows`` are integer
     vectors of length ``width``.
 
-    Returns (ray, zero set) pairs: a primitive integer ray and the frozenset
-    of row indices on which it vanishes.  Returns None when the rows have
+    Returns (ray, zero set) pairs: a primitive integer ray and the bitmask
+    of the row indices on which it vanishes.  Returns None when the rows have
     rank below ``width``, so the cone is not pointed.
     """
     basis = [i for i, _, _ in echelon(rows)]
@@ -224,7 +231,7 @@ def _extreme_rays(rows, width):
         rays = [rays[i] for i in keep] + new_rays
         zeros = [zeros[i] | (1 << k if vals[i] == 0 else 0) for i in keep] + new_zeros
         ids = [ids[i] for i in keep] + list(range(first, next_id))
-    return [(ray, members(z)) for ray, z in zip(rays, zeros)]
+    return list(zip(rays, zeros))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +243,10 @@ def vertices_and_tight_sets(h: HPolytope):
     """All vertices of a bounded H-polytope over one denominator, sorted.
 
     Returns ``(verts, scale)``: ``verts`` pairs each vertex's integer
-    coordinates y * (scale // t) with the frozenset of indices of the
-    inequalities tight at it, and ``scale`` is L, the lcm of the vertices'
-    t, so vertex i is ``verts[i][0] / scale``.  The sort is by those
-    integer coordinates, which orders the vertices as their rational
+    coordinates y * (scale // t) with the bitmask of the inequalities tight
+    at it (bit i is inequality i), and ``scale`` is L, the lcm of the
+    vertices' t, so vertex i is ``verts[i][0] / scale``.  The sort is by
+    those integer coordinates, which orders the vertices as their rational
     values.
 
     The extreme rays (y, t) of the homogenized cone
@@ -290,7 +297,7 @@ def facets_from_vrep(v: VPolytope) -> IncidenceStructure:
 
     The facets are the extreme rays of the cone of affine functions
     nonnegative on every point, u . (x, 1) >= 0; a facet's vertex set is the
-    ray's zero set.  Non-vertex points on a facet belong to its incidence.
+    ray's zero set: the mask of every point on it, vertex or not.
     """
     d, mult = v.dim, v.scale
     rays = _extreme_rays([p + (1,) for p in v.coords], d + 1)
@@ -305,7 +312,7 @@ def facets_from_vrep(v: VPolytope) -> IncidenceStructure:
     entries.sort(key=lambda e: e[1])
     return IncidenceStructure(
         vertex_count=len(v.coords),
-        incidence=[inc for inc, _ in entries],
+        facets=[inc for inc, _ in entries],
         labels=v.labels,
         inequalities=tuple(ineq for _, ineq in entries),
     )
@@ -320,7 +327,7 @@ def face_masks(inc: IncidenceStructure):
     """Proper faces as vertex bitmasks (bit i is vertex i), grouped by
     dimension: ``{dim: frozenset of masks}``.  Built once per structure.
 
-    Graded from the vertex-facet incidence alone, top down (Kaibel &
+    Graded from the facet masks ``inc.facets`` alone, top down (Kaibel &
     Pfetsch, "Computing the face lattice of a polytope from its
     vertex-facet incidences", 2002): the facets sit at depth 0, and the
     faces one dimension below a face F are the maximal proper nonempty
@@ -337,9 +344,8 @@ def face_masks(inc: IncidenceStructure):
     no gap.
     """
     if inc._lattice is None:
-        facets = [sum(1 << i for i in f) for f in inc.incidence]
         # each face of the level -> a list that holds every facet cutting it
-        level = dict.fromkeys(facets, facets)
+        level = dict.fromkeys(inc.facets, inc.facets)
         levels = []
         while level:
             levels.append(frozenset(level))

@@ -46,8 +46,7 @@ def verify_skeleton_equivalence(inc: IncidenceStructure, n, r) -> bool:
     # plus[j] holds the vertices labeled +1 at j; f varies at j when it meets it and its complement
     plus = [sum(1 << i for i, lab in enumerate(inc.labels) if lab[j] == 1) for j in range(n)]
     return all(
-        f.bit_count() == 1 << k and not f >> inc.vertex_count
-        and sum(0 != f & p != f for p in plus) == k
+        f.bit_count() == 1 << k and sum(0 != f & p != f for p in plus) == k
         for k in range(r + 1)
         for f in masks.get(k, ())
     )
@@ -99,17 +98,13 @@ def upper_face_subdivision(n, d):
 
     # faces, cells and facets as vertex bitmasks (bit i is vertex i)
     cells = [
-        sum(1 << i for i in facet)
-        for facet, (normal, _) in zip(inc_upper.incidence, inc_upper.inequalities)
-        if normal[0] > 0
+        f for f, (normal, _) in zip(inc_upper.facets, inc_upper.inequalities) if normal[0] > 0
     ]
     if not cells:
         raise ConstructionError("no upper facets found")
 
     if reduce(or_, cells) != (1 << len(lower.coords)) - 1:
         raise ConstructionError("cells do not cover every vertex")
-
-    lower_facets = [sum(1 << i for i in f) for f in inc_lower.incidence]
 
     # upper facets are not vertical, so each cell's faces are the upper faces in it
     faces_by_dim = {
@@ -121,7 +116,7 @@ def upper_face_subdivision(n, d):
     # ridges: shared by exactly two cells or lying in a boundary facet
     for ridge in faces_by_dim[d - 1]:
         cnt = sum(ridge & cell == ridge for cell in cells)
-        on_boundary = any(ridge & fs == ridge for fs in lower_facets)
+        on_boundary = any(ridge & fs == ridge for fs in inc_lower.facets)
         if cnt == 2 and not on_boundary:
             continue
         if cnt == 1 and on_boundary:
@@ -132,7 +127,7 @@ def upper_face_subdivision(n, d):
     r = d // 2 - 1
     for k in range(r + 1):
         for f in faces_by_dim[k]:
-            if not any(f & fs == f for fs in lower_facets):
+            if not any(f & fs == f for fs in inc_lower.facets):
                 raise ConstructionError(f"interior {k}-face in the subdivision")
 
     faces_by_dim[d] = cells

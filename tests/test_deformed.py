@@ -103,11 +103,12 @@ def test_combinatorial_cube_check():
 
 
 def test_sign_label_needs_exactly_one_side():
-    assert _sign_label(frozenset({0, 3, 5}), 3) == (-1, 1, 1)
-    # indices past the 2n paired inequalities are not read
-    assert _sign_label(frozenset({0, 3, 5, 6}), 3) == (-1, 1, 1)
-    assert _sign_label(frozenset({0, 1, 3, 5}), 3) is None
-    assert _sign_label(frozenset({0, 3}), 3) is None
+    # tight masks: bit i is inequality i
+    assert _sign_label(0b101001, 3) == (-1, 1, 1)
+    # bits past the 2n paired inequalities are not read
+    assert _sign_label(0b1101001, 3) == (-1, 1, 1)
+    assert _sign_label(0b101011, 3) is None
+    assert _sign_label(0b1001, 3) is None
 
 
 def _lattice_cube_check(h):
@@ -124,19 +125,19 @@ def _lattice_cube_check(h):
         return False
     labels = []
     for _, tight in verts:
-        sides = [[s for s, j in ((-1, 2 * k), (1, 2 * k + 1)) if j in tight] for k in range(n)]
+        sides = [[s for s, j in ((-1, 2 * k), (1, 2 * k + 1)) if tight >> j & 1] for k in range(n)]
         if any(len(side) != 1 for side in sides):
             return False
         labels.append(tuple(side[0] for side in sides))
     if len(set(labels)) != 2 ** n:
         return False
-    incidence = [
-        frozenset(i for i, (_, tight) in enumerate(verts) if j in tight)
+    facets = [
+        sum(1 << i for i, (_, tight) in enumerate(verts) if tight >> j & 1)
         for j in range(2 * n)
     ]
-    if not all(incidence):
+    if not all(facets):
         return False
-    return verify_skeleton_equivalence(IncidenceStructure(2 ** n, incidence, labels=labels), n, n - 1)
+    return verify_skeleton_equivalence(IncidenceStructure(2 ** n, facets, labels=labels), n, n - 1)
 
 
 def _unit(n, k, sigma):
@@ -483,6 +484,17 @@ def test_columns_take_a_fraction_eps_as_given(monkeypatch):
     assert built == []
     assert deformation_columns(5, 2, [(1, -1), (3, 1)], "1/8") == [[-1, -8], [0, -8], [0, 1]]
     assert built == [("1/8",)]
+
+
+def test_columns_refuse_a_float_epsilon():
+    # 0.1 is not 1/10: the rows would carry its binary value's 2^55
+    with pytest.raises(TypeError, match="not float"):
+        deformation_rows(3, 1, [(2, 1)], 0.1)
+    with pytest.raises(TypeError, match="not float"):
+        deformation_columns(5, 2, [(1, -1), (3, 1)], 0.125)
+    # the eps = 0 rows of the certificate, ints, Fractions and strings
+    for eps, row in ((0, (1, 0)), (2, (1, 2)), (Fraction(1, 10), (10, 1)), ("1/10", (10, 1))):
+        assert deformation_rows(3, 1, [(2, 1)], eps) == [row]
 
 
 def _leibniz_det(rows):

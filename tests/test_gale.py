@@ -186,6 +186,15 @@ def _sigma_circuit(n, d, sigma, rows, eps):
     return alpha_is_positive_circuit(n, d, tuple(sigma.get(k, 1) * k for k in rows), eps)
 
 
+def test_circuit_test_refuses_a_float_epsilon():
+    # 0.1 is not 1/10; the string and the Fraction are read exactly
+    with pytest.raises(TypeError, match="not float"):
+        alpha_is_positive_circuit(5, 2, (-1, 2, -3, 4), 0.1)
+    assert alpha_is_positive_circuit(5, 2, (-1, 2, -3, 4), "1/10")
+    assert alpha_is_positive_circuit(5, 2, (-1, 2, -3, 4), Fraction(1, 10))
+    assert not alpha_is_positive_circuit(5, 2, (-1, 2, -3, 4), Fraction(1, 2))
+
+
 def test_positive_circuit_vacuous_when_n_equals_d():
     assert _sigma_circuit(3, 3, {1: 1}, (2,), Fraction(1, 2))
     assert alpha_is_positive_circuit(3, 3, frozenset({-2}), Fraction(1, 2))

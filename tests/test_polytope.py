@@ -419,11 +419,11 @@ def test_tight_sets_match_fraction_evaluation():
     # hold with equality at each vertex, evaluated in exact rationals
     for h in _random_box_cuts():
         for point, tight in _rational_vertices(h):
-            assert tight == {
-                i
+            assert tight == sum(
+                1 << i
                 for i, (normal, rhs) in enumerate(h.inequalities)
                 if sum(a * x for a, x in zip(normal, point)) == rhs
-            }
+            )
 
 
 def test_vertices_come_in_fraction_tuple_order():
@@ -629,7 +629,7 @@ def test_vertices_are_independent_of_row_order():
     for h in _random_box_cuts():
         rows, perm = _shuffled(rng, h.inequalities)
         other, scale = vertices_and_tight_sets(HPolytope(h.dim, rows))
-        renamed = [(p, frozenset(perm[i] for i in t)) for p, t in other]
+        renamed = [(p, sum(1 << perm[i] for i in range(len(perm)) if t >> i & 1)) for p, t in other]
         assert (renamed, scale) == vertices_and_tight_sets(h)
     for h in _rank_deficient_systems(300):
         rows, _ = _shuffled(rng, h.inequalities)
@@ -684,6 +684,25 @@ def test_graded_dimension_is_affine_rank():
                 assert len(echelon([[a - b for a, b in zip(p, base)] for p in rest])) == k
 
 
+def test_incidence_structure_refuses_facets_outside_its_vertices():
+    # facet i is a nonempty vertex mask below 1 << vertex_count; the error
+    # names the first facet that is not
+    for facets, index in (
+        ([0b0011, 0b10001], 1),
+        ([0b10000, 0b0011], 0),
+        ([0b0011, 0], 1),
+        ([-1], 0),
+    ):
+        with pytest.raises(ValueError, match=f"facet {index} "):
+            IncidenceStructure(4, facets)
+    # a facet given as a vertex set is not a mask
+    with pytest.raises(TypeError):
+        IncidenceStructure(4, [{0, 7}])
+    inc = IncidenceStructure(4, [0b1111, 0b0001])
+    assert inc.facets == (0b1111, 0b0001) and inc.facet_count == 2
+    assert inc.incidence == (frozenset({0, 1, 2, 3}), frozenset({0}))
+
+
 def test_coordinate_free_lattice_is_the_same():
     rng = random.Random(7)
     structures = [facets_from_vrep(projected_cube(5, 4).shadow)]
@@ -693,7 +712,7 @@ def test_coordinate_free_lattice_is_the_same():
         except SpanError:
             continue
     for inc in structures:
-        bare = IncidenceStructure(inc.vertex_count, inc.incidence)
+        bare = IncidenceStructure(inc.vertex_count, inc.facets)
         assert face_lattice(bare) == face_lattice(inc)
         assert f_vector(bare) == f_vector(inc)
 
@@ -781,7 +800,7 @@ def _full_scan_extreme_rays(rows, width, branches=None):
         keep = [i for i, s in enumerate(vals) if s >= 0]
         rays = [rays[i] for i in keep] + new_rays
         zeros = [zeros[i] | (1 << k if vals[i] == 0 else 0) for i in keep] + new_zeros
-    return [(ray, frozenset(i for i in range(len(rows)) if z >> i & 1)) for ray, z in zip(rays, zeros)]
+    return list(zip(rays, zeros))
 
 
 def all_facets_face_masks(inc):

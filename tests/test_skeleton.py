@@ -100,7 +100,7 @@ def test_skeleton_equivalence_rejects_negative_r():
 
 
 def test_skeleton_equivalence_rejects_labels_off_the_cube():
-    square = [{0, 1}, {1, 3}, {3, 2}, {2, 0}]
+    square = [0b0011, 0b1010, 0b1100, 0b0101]
     for labels in (
         [(0, 0), (0, 1), (1, 0), (1, 1)],
         [(-1, -1), (-1, 1), (1, -1), (1, 1, 1)],
@@ -145,9 +145,9 @@ def _skeleton_mutants(inc):
     off = labels[:]
     off[0] = (0, *off[0][1:])
     return [
-        IncidenceStructure(inc.vertex_count, inc.incidence, labels=swapped),
-        IncidenceStructure(inc.vertex_count, inc.incidence[1:], labels=labels),
-        IncidenceStructure(inc.vertex_count, inc.incidence, labels=off),
+        IncidenceStructure(inc.vertex_count, inc.facets, labels=swapped),
+        IncidenceStructure(inc.vertex_count, inc.facets[1:], labels=labels),
+        IncidenceStructure(inc.vertex_count, inc.facets, labels=off),
     ]
 
 
@@ -179,7 +179,7 @@ def test_skeleton_check_matches_frozenset_reference(constructed, n, d):
 def _with_lattice(inc, lattice):
     """``inc`` with ``lattice`` stored as its face lattice: the faces every
     check reads through ``face_masks``."""
-    out = IncidenceStructure(inc.vertex_count, inc.incidence, labels=inc.labels)
+    out = IncidenceStructure(inc.vertex_count, inc.facets, labels=inc.labels)
     out._lattice = lattice
     return out
 
@@ -203,16 +203,9 @@ def test_skeleton_check_needs_both_face_conditions():
         # the square's four sides with two of them crossed over as diagonals
         "k-coordinate span, from incidence": (
             IncidenceStructure(
-                4, [{0, 1}, {1, 2}, {2, 3}, {3, 0}], labels=list(product((-1, 1), repeat=2))
+                4, [0b0011, 0b0110, 0b1100, 0b1001], labels=list(product((-1, 1), repeat=2))
             ),
             1,
-        ),
-        # vertex 2's place taken by an index past the labels
-        "vertex indices below vertex_count": (
-            IncidenceStructure(
-                4, [{0, 1}, {1, 3}, {3, 4}, {4, 0}], labels=list(product((-1, 1), repeat=2))
-            ),
-            0,
         ),
     }
     for why, (mutant, r) in mutants.items():
@@ -221,6 +214,12 @@ def test_skeleton_check_needs_both_face_conditions():
         assert counts == [signvec.cube_face_count(n, k) for k in range(r + 1)], why
         assert _reference_skeleton_equivalence(mutant, n, r) is False, why
         assert verify_skeleton_equivalence(mutant, n, r) is False, why
+    # vertex 2's place taken by an index past the labels: the structure
+    # refuses it when built, before any check reads its faces
+    with pytest.raises(ValueError, match="facet 2 "):
+        IncidenceStructure(
+            4, [0b00011, 0b01010, 0b11000, 0b10001], labels=list(product((-1, 1), repeat=2))
+        )
 
 
 def test_skeleton_check_refuses_extra_faces():

@@ -8,7 +8,7 @@ follow a closed formula whose correction term is minimized, over all valid
 triples, exactly by the neighborly one.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -156,13 +156,8 @@ def neighborly_triples(d):
     return [t for t in valid_triples(d) if t[2] >= r + 1]
 
 
-@dataclass
-class UBCReport:
-    d: int
-    checked: int
-    failures: list
-    minimizers: dict
-    neighborly: list
+class UBCReport(namedtuple("UBCReport", "d checked failures minimizers neighborly")):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -257,13 +252,10 @@ NONCUBICAL_WITNESS_POINTS = _sign_expand(
 )
 
 
-@dataclass
-class WitnessReport:
-    all_vertices: bool
-    cube_graph: bool
-    cubical: bool
-    cube_facet_at_base: bool
-    large_facet_sizes: list
+class WitnessReport(namedtuple(
+    "WitnessReport", "all_vertices cube_graph cubical cube_facet_at_base large_facet_sizes"
+)):
+    __slots__ = ()
 
     @property
     def ok(self):

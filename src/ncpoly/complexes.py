@@ -16,7 +16,6 @@ a face's coordinates off its vertex IDs.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
@@ -25,14 +24,12 @@ from . import signvec
 from .errors import ConstructionError
 
 
-@dataclass
 class CubicalComplex:
-    faces_by_dim: dict
-    vertex_ids: frozenset = field(init=False)
+    """Faces by dimension, each a frozenset of masks; empty ones are dropped."""
 
-    def __post_init__(self):
+    def __init__(self, faces_by_dim):
         self.faces_by_dim = {
-            k: frozenset(faces) for k, faces in self.faces_by_dim.items() if faces
+            k: frozenset(faces) for k, faces in faces_by_dim.items() if faces
         }
         self.vertex_ids = signvec.members(reduce(or_, self.all_faces(), 0))
 

@@ -6,7 +6,7 @@ evenness condition, and the same facets come back from the positive
 cocircuits of the homogenized configuration.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -16,13 +16,11 @@ from .polytope import VPolytope, facets_from_vrep
 from .signvec import members
 
 
-@dataclass(frozen=True)
-class CyclicConfiguration:
-    """Homogenized points (1, t, t^2, ..., t^d) for increasing parameters."""
+class CyclicConfiguration(namedtuple("CyclicConfiguration", "n rank ts")):
+    """Homogenized points (1, t, t^2, ..., t^d) for increasing parameters;
+    ``rank`` is d + 1."""
 
-    n: int
-    rank: int  # d + 1
-    ts: tuple
+    __slots__ = ()
 
     def row(self, i):
         t = Fraction(self.ts[i])
@@ -32,9 +30,10 @@ class CyclicConfiguration:
 def cyclic_configuration(n, d, ts=None) -> CyclicConfiguration:
     if d + 1 > n:
         raise DimensionError("rank cannot exceed the number of points")
-    if ts is None:
-        ts = tuple(range(1, n + 1))
-    ts = tuple(Fraction(t) for t in ts)
+    ts = tuple(range(1, n + 1) if ts is None else ts)
+    if any(isinstance(t, float) for t in ts):
+        raise TypeError("parameters must be ints, Fractions or strings, not float")
+    ts = tuple(map(Fraction, ts))
     if len(ts) != n:
         raise ValueError("need one parameter per point")
     if any(a >= b for a, b in zip(ts, ts[1:])):

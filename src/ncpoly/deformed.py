@@ -34,7 +34,7 @@ stay integer coordinates over the one denominator H->V returns, and
 the cube's rows through H->V to the hull.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -226,16 +226,11 @@ def project_last(v: VPolytope, d) -> VPolytope:
         raise SkeletonViolationError("projection collapsed two vertices") from exc
 
 
-@dataclass(frozen=True)
-class ProjectedCube:
-    """A deformed cube together with its certified projection."""
+class ProjectedCube(namedtuple("ProjectedCube", "n d epsilon hrep cube shadow")):
+    """A deformed cube (``hrep``, ``cube``) for the Fraction ``epsilon``,
+    together with its certified projection ``shadow``."""
 
-    n: int
-    d: int
-    epsilon: Fraction
-    hrep: HPolytope
-    cube: VPolytope
-    shadow: VPolytope
+    __slots__ = ()
 
 
 def projected_cube(n, d, epsilon=None) -> ProjectedCube:

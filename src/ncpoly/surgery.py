@@ -12,8 +12,7 @@ union of faces is an OR, and the face of a cube F opposite its facet Q is
 ``F & ~Q``.  Sign vectors appear only as the gale labels of the facets.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import reduce
 from operator import or_
 
@@ -138,12 +137,10 @@ def build_psi() -> CubicalComplex:
     return psi
 
 
-@dataclass
-class SphereReport:
-    ridges_in_two_facets: bool
-    connected: bool
-    euler_zero: bool
-    links_ok: bool
+class SphereReport(namedtuple(
+    "SphereReport", "ridges_in_two_facets connected euler_zero links_ok"
+)):
+    __slots__ = ()
 
     @property
     def ok(self):

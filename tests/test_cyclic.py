@@ -71,6 +71,32 @@ def test_one_parameter_per_point():
             cyclic_configuration(6, 3, ts=ts)
 
 
+def test_parameters_refuse_a_float():
+    # 0.1 would become 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match="not float"):
+        cyclic_configuration(6, 3, ts=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    with pytest.raises(TypeError, match="not float"):
+        cyclic_configuration(3, 2, ts=(1, 2.0, 3))
+
+
+def test_parameters_as_ints():
+    cfg = cyclic_configuration(4, 2, ts=[-1, 0, 2, 5])
+    assert cfg.ts == (-1, 0, 2, 5)
+    assert all(type(t) is Fraction for t in cfg.ts)
+
+
+def test_parameters_as_fractions():
+    ts = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(7, 5))
+    assert cyclic_configuration(4, 2, ts=ts).ts == ts
+
+
+def test_parameters_as_strings():
+    cfg = cyclic_configuration(6, 3, ts=["1/10", "1/5", "3/10", "2/5", "1/2", "3/5"])
+    assert cfg.ts[0] == Fraction(1, 10)
+    assert cfg.row(5) == (1, Fraction(3, 5), Fraction(9, 25), Fraction(27, 125))
+    assert len(positive_cocircuit_facets(cfg)) == cyclic_facet_count(6, 3)
+
+
 def test_dual_minor_signs_follow_reorientation():
     # negating a row flips each maximal minor containing it; with rows
     # 2, 4, ... negated, the dual minor sign is (-1)^(number of even rows)

@@ -86,14 +86,6 @@ def valid_triples(d):
     return sorted(out)
 
 
-def _ball_facets(d, k, l, m):
-    """Ball facets as (position, sign): both sides for the first k pairs,
-    the plus side for the next l."""
-    facets = [(i, s) for i in range(k) for s in (-1, 1)]
-    facets += [(i, 1) for i in range(k, k + l)]
-    return facets
-
-
 def _check_triple(d, triple):
     """The ball needs k + l + m = d + 1 with l >= 1 and k, m >= 0."""
     k, l, m = triple
@@ -107,10 +99,9 @@ def pklm_sphere(d, triple) -> CubicalComplex:
     facet of the ball and in a facet of its complement.  Faces are read by
     zero set, then by the mask of their +1 coordinates."""
     k, l, m = _check_triple(d, triple)
-    ball = _ball_facets(d, k, l, m)
-    # the ball facets on each side, as bitmasks of positions
-    plus = sum(1 << i for i, s in ball if s > 0)
-    minus = sum(1 << i for i, s in ball if s < 0)
+    # the ball facets on each side, as bitmasks of positions: both sides
+    # of the first k, the plus side of the next l
+    plus, minus = (1 << k + l) - 1, (1 << k) - 1
     faces_by_dim = {dim: set() for dim in range(d)}
     for dim in range(d):
         for zeros in combinations(range(d + 1), dim):

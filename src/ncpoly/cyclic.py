@@ -2,8 +2,9 @@
 
 These are the simplicial reference objects: the facet structure of the
 convex hull of points on the moment curve is governed by the classical Gale
-evenness condition, and the same facets come back from the positive
-cocircuits of the homogenized configuration.
+evenness condition (``gale.gap_even`` on a subset's non-members), and the
+same facets come back from the positive cocircuits of the homogenized
+configuration.
 """
 
 from collections import namedtuple
@@ -12,6 +13,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import DimensionError
+from .gale import gap_even
 from .polytope import VPolytope, facets_from_vrep
 from .signvec import members
 
@@ -41,29 +43,23 @@ def cyclic_configuration(n, d, ts=None) -> CyclicConfiguration:
     return CyclicConfiguration(n, d + 1, ts)
 
 
-def classical_gale_even(subset, n) -> bool:
-    """Classical evenness: between any two values outside the subset there
-    is an even number of subset elements."""
-    inside = set(subset)
-    outside = [i for i in range(1, n + 1) if i not in inside]
-    for a, b in combinations(outside, 2):
-        if sum(1 for k in inside if a < k < b) % 2:
-            return False
-    return True
-
-
 def gale_evenness_facets(n, d):
-    """Facet index sets (1-based) of the cyclic d-polytope on n vertices."""
+    """Facet index sets (1-based) of the cyclic d-polytope on n vertices:
+    the d-subsets whose non-members are ``gap_even``, which is Gale's
+    condition that an even number of members lies between any two
+    non-members."""
     if not n > d >= 2:
         raise ValueError("need n > d >= 2")
     return [
         frozenset(s)
         for s in combinations(range(1, n + 1), d)
-        if classical_gale_even(s, n)
+        if gap_even([i for i in range(1, n + 1) if i not in s])
     ]
 
 
 def cyclic_facet_count(n, d) -> int:
+    if not n > d >= 2:
+        raise ValueError("need n > d >= 2")
     return comb(n - (d + 1) // 2, d // 2) + comb(
         n - 1 - d // 2, (d - 1) // 2
     )

@@ -13,7 +13,7 @@ exactly when
 
 The closed-form count and the positive-circuit test over the deformation
 matrix give two independent routes to the same facet set.  The circuit test
-checks the label's rows with one set, builds their columns
+reads the label's rows through ``to_sign_vector``, builds their columns
 (``deformation_columns``), and back-substitutes the rows' left kernel, the
 columns' right kernel, over one ``echelon`` list, stopping at its first
 entry that is not positive; nothing is kept from one label to the next.
@@ -85,15 +85,14 @@ def alpha_is_positive_circuit(n, d, alpha, epsilon) -> bool:
     alpha, on the deformation-matrix rows (k, sign) it names: rank n-d and a
     strictly one-signed left-kernel vector.  Its free entry is |prod of
     pivots| > 0, so the test fails at the first other entry that is not
-    positive.  Raises ValueError unless alpha has n-d+1 elements, none of
-    them outside +-(1..n), and is disjoint from -alpha."""
-    # a label holding both k and -k names row k twice and is refused
-    ks = {abs(a) for a in alpha}
+    positive.  Raises ValueError unless n >= d >= 2 and alpha has n-d+1
+    elements that ``to_sign_vector`` accepts: none outside +-(1..n), and
+    no index named twice, so alpha is disjoint from -alpha."""
+    if not n >= d >= 2:
+        raise ValueError("need n >= d >= 2")
     if len(alpha) != n - d + 1:
         raise ValueError("need exactly n-d+1 rows")
-    if len(ks) != len(alpha) or (ks and not (0 < min(ks) and max(ks) <= n)):
-        raise ValueError(f"row indices must be distinct and lie in 1..{n}")
-    signed_rows = [(abs(a), 1 if a > 0 else -1) for a in sorted(alpha, key=abs)]
+    signed_rows = [(k, s) for k, s in enumerate(to_sign_vector(alpha, n), 1) if s]
     red = echelon(deformation_columns(n, d, signed_rows, epsilon))
     if len(red) != n - d:
         return False

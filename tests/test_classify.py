@@ -7,7 +7,6 @@ from ncpoly import classify, signvec
 from ncpoly.classify import (
     CUBICAL_WITNESS_POINTS,
     NONCUBICAL_WITNESS_POINTS,
-    _ball_facets,
     delta,
     first_construction,
     neighborly_triples,
@@ -82,6 +81,14 @@ def test_pklm_formula_matches_direct_counting():
     for d in (3, 4, 5):
         for t in valid_triples(d):
             assert pklm_sphere(d, t).f_vector() == pklm_fvector(d, t)
+
+
+def _ball_facets(d, k, l, m):
+    """Ball facets as (position, sign): both sides for the first k pairs,
+    the plus side for the next l."""
+    facets = [(i, s) for i in range(k) for s in (-1, 1)]
+    facets += [(i, 1) for i in range(k, k + l)]
+    return facets
 
 
 def _reference_pklm_faces(d, triples):

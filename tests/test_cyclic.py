@@ -5,7 +5,6 @@ import pytest
 
 from ncpoly.cyclic import (
     CyclicConfiguration,
-    classical_gale_even,
     cyclic_configuration,
     cyclic_facet_count,
     gale_evenness_facets,
@@ -130,10 +129,42 @@ def test_polygon_facets():
     }
 
 
+def classical_gale_even(subset, n) -> bool:
+    """Classical evenness: between any two values outside the subset there
+    is an even number of subset elements."""
+    inside = set(subset)
+    outside = [i for i in range(1, n + 1) if i not in inside]
+    for a, b in combinations(outside, 2):
+        if sum(1 for k in inside if a < k < b) % 2:
+            return False
+    return True
+
+
 def test_simplex_case_all_subsets():
     # n = d+1 gives a simplex: every d-subset is a facet
     assert len(gale_evenness_facets(5, 4)) == 5
     assert classical_gale_even((1, 2, 4, 5), 5)
+
+
+def test_gale_evenness_facets_is_the_classical_filter():
+    # the pairwise condition on every d-subset, in the same order
+    for n in range(3, 13):
+        for d in range(2, n):
+            want = [
+                frozenset(s)
+                for s in combinations(range(1, n + 1), d)
+                if classical_gale_even(s, n)
+            ]
+            assert gale_evenness_facets(n, d) == want, (n, d)
+
+
+@pytest.mark.parametrize("n,d", [(4, 4), (3, 4), (5, 1), (5, 0), (1, 1)])
+def test_facet_count_refuses_what_evenness_refuses(n, d):
+    # there is no cyclic d-polytope on n <= d points, and none below d = 2
+    with pytest.raises(ValueError, match="need n > d >= 2"):
+        gale_evenness_facets(n, d)
+    with pytest.raises(ValueError, match="need n > d >= 2"):
+        cyclic_facet_count(n, d)
 
 
 def test_count_formula_agreement():

@@ -208,6 +208,9 @@ def test_positive_circuit_vacuous_when_n_equals_d():
         (5, 2, (3, 4, 5)),  # one row short
         (5, 2, (3, 3, 4, 5)),  # repeated row
         (3, 3, (4,)),  # checked even where the test is vacuous
+        (3, 4, ()),  # d > n: n-d+1 = 0 rows would pass the size check
+        (3, 1, (1, 2, 3)),  # d < 2
+        (1, 1, (1,)),
     ],
 )
 def test_positive_circuit_rejects_bad_rows(n, d, rows):

@@ -147,6 +147,17 @@ def neighborly_triples(d):
     return [t for t in valid_triples(d) if t[2] >= r + 1]
 
 
+# the relations among the deltas at one i: each names the triples (k, l, m)
+# it applies to and the triple whose delta_i theirs may not fall below, or
+# must equal where the last field is True
+_RELATIONS = (
+    ("shift-pair", lambda k, l, m: k > m, lambda k, l, m: (k - 1, l, m + 1), False),
+    ("split-l", lambda k, l, m: l >= 2, lambda k, l, m: (k + 1, l - 2, m + 1), False),
+    ("drop-l2", lambda k, l, m: l == 2 and k > m, lambda k, l, m: (k, 1, m + 1), False),
+    ("tie", lambda k, l, m: l == 2 and k == m, lambda k, l, m: (k + 1, 1, k), True),
+)
+
+
 class UBCReport(namedtuple("UBCReport", "d checked failures minimizers neighborly")):
     __slots__ = ()
 
@@ -166,25 +177,17 @@ def ubc_polytope_case(d) -> UBCReport:
     def dl(*key):
         return seen[key] if key in seen else seen.setdefault(key, delta(*key))
 
-    checked = 0
+    checks = [
+        (name, t, other(*t), equal)
+        for t in triples
+        for name, applies, other, equal in _RELATIONS
+        if applies(*t)
+    ]
     for i in range(0, d + 2):
-        for (k, l, m) in triples:
-            if k > m:
-                checked += 1
-                if dl(i, k, l, m) < dl(i, k - 1, l, m + 1):
-                    failures.append(("shift-pair", i, (k, l, m)))
-            if l >= 2:
-                checked += 1
-                if dl(i, k, l, m) < dl(i, k + 1, l - 2, m + 1):
-                    failures.append(("split-l", i, (k, l, m)))
-            if l == 2 and k > m:
-                checked += 1
-                if dl(i, k, 2, m) < dl(i, k, 1, m + 1):
-                    failures.append(("drop-l2", i, (k, l, m)))
-            if l == 2 and k == m:
-                checked += 1
-                if dl(i, k, 2, k) != dl(i, k + 1, 1, k):
-                    failures.append(("tie", i, (k, l, m)))
+        for name, t, u, equal in checks:
+            here, there = dl(i, *t), dl(i, *u)
+            if (here != there) if equal else (here < there):
+                failures.append((name, i, t))
     minimizers = {}
     for i in range(2, d + 2):
         best = min(dl(i, *t) for t in triples)
@@ -193,7 +196,7 @@ def ubc_polytope_case(d) -> UBCReport:
         for t in neighborly:
             if dl(i, *t) != best:
                 failures.append(("neighborly-not-minimal", i, t))
-    report = UBCReport(d, checked, failures, minimizers, neighborly)
+    report = UBCReport(d, (d + 2) * len(checks), failures, minimizers, neighborly)
     if failures:
         raise TheoremViolationError(f"delta relations failed: {failures[:3]}")
     return report

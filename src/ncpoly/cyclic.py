@@ -30,6 +30,8 @@ class CyclicConfiguration(namedtuple("CyclicConfiguration", "n rank ts")):
 
 
 def cyclic_configuration(n, d, ts=None) -> CyclicConfiguration:
+    if d < 1:
+        raise ValueError("need d >= 1")
     if d + 1 > n:
         raise DimensionError("rank cannot exceed the number of points")
     ts = tuple(range(1, n + 1) if ts is None else ts)

@@ -167,8 +167,11 @@ def certify_epsilon(n, d, epsilon) -> bool:
 
 def common_epsilon(n, dims) -> Fraction:
     """Largest epsilon in {1/2, 1/4, ..., 1/2^64} passing the certificate
-    of (n, d) for every d in ``dims``; each d's minor table is built once."""
+    of (n, d) for every d in ``dims``; each d's minor table is built once.
+    Raises ValueError on an empty ``dims``, which would certify nothing."""
     tables = [coeffs for d in dims for coeffs in _minor_table(n, d)]
+    if not tables:  # every d has at least one table
+        raise ValueError("need at least one d")
     for eps in (Fraction(1, 2 ** e) for e in range(1, 65)):
         if all(_keeps_sign(coeffs, eps) for coeffs in tables):
             return eps

@@ -2,14 +2,12 @@
 
 Facets are named by signed index sets alpha inside {-1,+1,...,-n,+n} of size
 n-d+1 with alpha disjoint from -alpha.  Writing p for the length of the
-initial run of consecutive supported positions 1..p, a label is a facet
-exactly when
-
-  p = 0:  position 1 unused, the support is gap-even (an even number of
-          unused positions between consecutive used ones), signs free;
-  p >= 1: positions 1..p-1 carry the alternating signs -1,+2,-3,...; the
-          sign at p is forced by the parity of the jump to the tail; the
-          tail starts past p+1, is gap-even, and has free signs.
+initial run 1..p of supported positions (p = 0 when position 1 is unused), a
+label is a facet exactly when its support is that run followed by a tail
+that starts past p+1 and is gap-even (an even number of unused positions
+between consecutive used ones), and each run element a followed in the
+support by b has the sign (-1)^(b+1).  The last run element, when the tail
+is empty, and every tail element take either sign.
 
 The closed-form count and the positive-circuit test over the deformation
 matrix give two independent routes to the same facet set.  The circuit test
@@ -40,28 +38,16 @@ def facets_gale(n, d):
         raise ValueError("need n >= d >= 2")
     size = n - d + 1
     out = []
-    # p = 0: position 1 unused
-    for support in combinations(range(2, n + 1), size):
-        if not gap_even(support):
-            continue
-        for signs in product((-1, 1), repeat=size):
-            out.append(frozenset(s * k for s, k in zip(signs, support)))
-    # p >= 1: forced alternating prefix, parity-forced sign at p, free tail
-    for p in range(1, size + 1):
-        tail_size = size - p
-        prefix = [(-1) ** k * k for k in range(1, p)]
-        if tail_size == 0:
-            for sigma in (-1, 1):
-                out.append(frozenset(prefix + [sigma * p]))
-            continue
-        for tail in combinations(range(p + 2, n + 1), tail_size):
+    for p in range(size + 1):
+        for tail in combinations(range(p + 2, n + 1), size - p):
             if not gap_even(tail):
                 continue
-            sigma = (-1) ** (p + 1) if (tail[0] - p) % 2 == 0 else (-1) ** p
-            for signs in product((-1, 1), repeat=tail_size):
-                out.append(
-                    frozenset(prefix + [sigma * p] + [s * k for s, k in zip(signs, tail)])
-                )
+            support = [*range(1, p + 1), *tail]
+            # run element a followed by b has the sign (-1)^(b+1); the rest are free
+            forced = [(-1) ** (b + 1) * a for a, b in zip(support[:p], support[1:])]
+            free = support[len(forced):]
+            for signs in product((-1, 1), repeat=len(free)):
+                out.append(frozenset(forced + [s * k for s, k in zip(signs, free)]))
     # sign-vector order (- < 0 < +) is base-3 order, digit 1 + sign at k
     weight = {s * k: s * 3 ** (n - k) for k in range(1, n + 1) for s in (-1, 1)}
     out.sort(key=lambda a: sum(map(weight.__getitem__, a)))

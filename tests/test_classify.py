@@ -17,6 +17,7 @@ from ncpoly.classify import (
     valid_triples,
     verify_ambiguity_witnesses,
 )
+from ncpoly.errors import TheoremViolationError
 from ncpoly.gale import f_formula
 from ncpoly.intops import bareiss_det, clear_denominators
 from ncpoly.polytope import (
@@ -176,6 +177,77 @@ def test_ubc_computes_each_delta_once(monkeypatch):
         assert (got.checked, got.failures, got.minimizers, got.neighborly) == (
             want.checked, want.failures, want.minimizers, want.neighborly
         )
+
+
+def _four_block_ubc(d):
+    # ubc_polytope_case's (checked, failures) as it was written before its
+    # relation table, one count/compare/record block per relation, reading
+    # classify.delta at call time so a patched delta reaches it
+    delta = classify.delta
+    triples = valid_triples(d)
+    failures = []
+    checked = 0
+    for i in range(0, d + 2):
+        for (k, l, m) in triples:
+            if k > m:
+                checked += 1
+                if delta(i, k, l, m) < delta(i, k - 1, l, m + 1):
+                    failures.append(("shift-pair", i, (k, l, m)))
+            if l >= 2:
+                checked += 1
+                if delta(i, k, l, m) < delta(i, k + 1, l - 2, m + 1):
+                    failures.append(("split-l", i, (k, l, m)))
+            if l == 2 and k > m:
+                checked += 1
+                if delta(i, k, 2, m) < delta(i, k, 1, m + 1):
+                    failures.append(("drop-l2", i, (k, l, m)))
+            if l == 2 and k == m:
+                checked += 1
+                if delta(i, k, 2, k) != delta(i, k + 1, 1, k):
+                    failures.append(("tie", i, (k, l, m)))
+    for i in range(2, d + 2):
+        best = min(delta(i, *t) for t in triples)
+        for t in neighborly_triples(d):
+            if delta(i, *t) != best:
+                failures.append(("neighborly-not-minimal", i, t))
+    return checked, failures
+
+
+@pytest.mark.parametrize("d", range(4, 13))
+def test_ubc_table_counts_what_the_four_blocks_count(d):
+    assert _four_block_ubc(d) == (ubc_polytope_case(d).checked, [])
+
+
+def _lowered_delta(keys):
+    # delta with the given (i, k, l, m) keys pushed far down
+    return lambda *key: delta(*key) - (10 ** 9 if key in keys else 0)
+
+
+def _injections(d):
+    # pushing delta_i of one triple down fails every relation that triple
+    # is held to at i; then every triple at once, and a delta that wobbles
+    # over every key
+    i = d // 2 + 1
+    for t in valid_triples(d):
+        yield _lowered_delta({(i, *t)})
+    yield _lowered_delta({(i, *t) for t in valid_triples(d)})
+    yield lambda i, k, l, m: delta(i, k, l, m) + (i * 7 + k * 5 + l * 3 + m) % 3 - 1
+
+
+@pytest.mark.parametrize("d", [5, 9])
+def test_ubc_injected_failures_match_the_four_blocks(monkeypatch, d):
+    # odd d, so the tie applies too; each relation fails somewhere, and the
+    # error names the reference's failures, in its order
+    names = set()
+    for patched in _injections(d):
+        monkeypatch.setattr(classify, "delta", patched)
+        _, want = _four_block_ubc(d)
+        with pytest.raises(TheoremViolationError) as exc:
+            ubc_polytope_case(d)
+        monkeypatch.undo()
+        assert str(exc.value) == f"delta relations failed: {want[:3]}"
+        names.update(name for name, _, _ in want[:3])
+    assert {"shift-pair", "split-l", "drop-l2", "tie"} <= names
 
 
 def test_ubc_d4_maximizer_is_neighborly():

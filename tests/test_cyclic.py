@@ -70,6 +70,15 @@ def test_one_parameter_per_point():
             cyclic_configuration(6, 3, ts=ts)
 
 
+def test_dimension_below_one_is_refused():
+    # unchecked, d = -1 gave a rank-0 configuration and d = 0 failed later,
+    # in positive_cocircuit_facets, with "points must be pairwise distinct"
+    for d in (-1, 0):
+        with pytest.raises(ValueError, match="need d >= 1"):
+            cyclic_configuration(5, d)
+    assert cyclic_configuration(5, 1).rank == 2
+
+
 def test_parameters_refuse_a_float():
     # 0.1 would become 3602879701896397/36028797018963968, not 1/10
     with pytest.raises(TypeError, match="not float"):

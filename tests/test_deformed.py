@@ -403,6 +403,12 @@ def test_common_epsilon_matches_the_halving_walk():
     assert common_epsilon(7, [3, 4]) == Fraction(1, 8)
 
 
+def test_common_epsilon_refuses_no_dimensions():
+    # with no tables to certify, all() was true and 1/2 came back unchecked
+    with pytest.raises(ValueError, match="need at least one d"):
+        common_epsilon(6, [])
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("n", [10, 11])
 def test_common_epsilon_matches_the_halving_walk_past_nine(n):

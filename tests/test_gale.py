@@ -150,20 +150,71 @@ def test_initial_run():
     assert _initial_run({-1, 2, -3}) == 3
 
 
+def _obeys_the_rule(alpha):
+    # the module docstring's rule: the run 1..p, then a gap-even tail (past
+    # p+1, as p+1 ends the run); run element a followed in the support by b
+    # carries (-1)^(b+1)
+    p = _initial_run(alpha)
+    support = sorted(abs(a) for a in alpha)
+    return gap_even(support[p:]) and all(
+        (-1) ** (b + 1) * a in alpha for a, b in zip(support[:p], support[1:])
+    )
+
+
 def test_facet_labels_obey_the_module_docstring_rule():
-    # p = 0: position 1 unused, gap-even support; p >= 1: the prefix
-    # -1, +2, -3, ... up to p-1, position p+1 unused, a gap-even tail past p
+    # every signed label of size n-d+1 is a facet exactly when it obeys the
+    # rule, so the forced sign at p is checked along with the prefix
     for n in range(2, 10):
         for d in range(2, n + 1):
-            for alpha in facets_gale(n, d):
-                p = _initial_run(alpha)
-                support = sorted(abs(a) for a in alpha)
-                assert p + 1 not in support, (n, d, alpha)
-                if p == 0:
-                    assert gap_even(support), (n, d, alpha)
-                else:
-                    assert all((-1) ** k * k in alpha for k in range(1, p)), (n, d, alpha)
-                    assert gap_even([k for k in support if k > p]), (n, d, alpha)
+            facets = set(facets_gale(n, d))
+            size = n - d + 1
+            for support in combinations(range(1, n + 1), size):
+                for signs in product((-1, 1), repeat=size):
+                    alpha = frozenset(s * k for s, k in zip(signs, support))
+                    assert _obeys_the_rule(alpha) == (alpha in facets), (n, d, alpha)
+
+
+def _two_branch_facets_gale(n, d):
+    # the generator facets_gale replaced: p = 0 and p >= 1 as two branches,
+    # the parity-forced sign at p, and the empty tail as its own case
+    size = n - d + 1
+    out = []
+    for support in combinations(range(2, n + 1), size):
+        if not gap_even(support):
+            continue
+        for signs in product((-1, 1), repeat=size):
+            out.append(frozenset(s * k for s, k in zip(signs, support)))
+    for p in range(1, size + 1):
+        tail_size = size - p
+        prefix = [(-1) ** k * k for k in range(1, p)]
+        if tail_size == 0:
+            for sigma in (-1, 1):
+                out.append(frozenset(prefix + [sigma * p]))
+            continue
+        for tail in combinations(range(p + 2, n + 1), tail_size):
+            if not gap_even(tail):
+                continue
+            sigma = (-1) ** (p + 1) if (tail[0] - p) % 2 == 0 else (-1) ** p
+            for signs in product((-1, 1), repeat=tail_size):
+                out.append(
+                    frozenset(prefix + [sigma * p] + [s * k for s, k in zip(signs, tail)])
+                )
+    weight = {s * k: s * 3 ** (n - k) for k in range(1, n + 1) for s in (-1, 1)}
+    out.sort(key=lambda a: sum(map(weight.__getitem__, a)))
+    return out
+
+
+def test_facets_gale_is_the_two_branch_generator():
+    for n in range(2, 13):
+        for d in range(2, n + 1):
+            assert facets_gale(n, d) == _two_branch_facets_gale(n, d), (n, d)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [13, 14])
+def test_facets_gale_is_the_two_branch_generator_past_twelve(n):
+    for d in range(2, n + 1):
+        assert facets_gale(n, d) == _two_branch_facets_gale(n, d), (n, d)
 
 
 def test_gap_even():

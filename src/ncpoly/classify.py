@@ -167,8 +167,12 @@ class UBCReport(namedtuple("UBCReport", "d checked failures minimizers neighborl
 
 
 def ubc_polytope_case(d) -> UBCReport:
-    """Exhaustively verify the four monotonicity facts about delta and that
-    the neighborly triple(s) minimize it (so maximize every f_i)."""
+    """Exhaustively check the four monotonicity facts about delta and that
+    the neighborly triple(s) minimize it (so maximize every f_i).
+
+    Returns the report with every failure as (relation, i, triple), in the
+    order found; ``report.ok`` is whether there were none.
+    """
     triples = valid_triples(d)
     neighborly = neighborly_triples(d)
     failures = []
@@ -196,10 +200,7 @@ def ubc_polytope_case(d) -> UBCReport:
         for t in neighborly:
             if dl(i, *t) != best:
                 failures.append(("neighborly-not-minimal", i, t))
-    report = UBCReport(d, (d + 2) * len(checks), failures, minimizers, neighborly)
-    if failures:
-        raise TheoremViolationError(f"delta relations failed: {failures[:3]}")
-    return report
+    return UBCReport(d, (d + 2) * len(checks), failures, minimizers, neighborly)
 
 
 # ---------------------------------------------------------------------------

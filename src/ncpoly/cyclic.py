@@ -1,14 +1,12 @@
-"""Moment-curve point configurations and their oriented-matroid structure.
+"""The cyclic d-polytope on n vertices: the simplicial reference object.
 
-These are the simplicial reference objects: the facet structure of the
-convex hull of points on the moment curve is governed by the classical Gale
+``cyclic_configuration`` is the integer moment curve, the points
+(t, t^2, ..., t^d) for t = 1..n.  Its facets are given by the classical Gale
 evenness condition (``gale.gap_even`` on a subset's non-members), and the
 same facets come back from the positive cocircuits of the homogenized
-configuration.
+points, which are the facets of their hull.
 """
 
-from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -18,31 +16,13 @@ from .polytope import VPolytope, facets_from_vrep
 from .signvec import members
 
 
-class CyclicConfiguration(namedtuple("CyclicConfiguration", "n rank ts")):
-    """Homogenized points (1, t, t^2, ..., t^d) for increasing parameters;
-    ``rank`` is d + 1."""
-
-    __slots__ = ()
-
-    def row(self, i):
-        t = Fraction(self.ts[i])
-        return tuple(t ** j for j in range(self.rank))
-
-
-def cyclic_configuration(n, d, ts=None) -> CyclicConfiguration:
+def cyclic_configuration(n, d) -> VPolytope:
+    """The points (t, t^2, ..., t^d) for t = 1..n."""
     if d < 1:
         raise ValueError("need d >= 1")
     if d + 1 > n:
         raise DimensionError("rank cannot exceed the number of points")
-    ts = tuple(range(1, n + 1) if ts is None else ts)
-    if any(isinstance(t, float) for t in ts):
-        raise TypeError("parameters must be ints, Fractions or strings, not float")
-    ts = tuple(map(Fraction, ts))
-    if len(ts) != n:
-        raise ValueError("need one parameter per point")
-    if any(a >= b for a, b in zip(ts, ts[1:])):
-        raise ValueError("parameters must be strictly increasing")
-    return CyclicConfiguration(n, d + 1, ts)
+    return VPolytope(d, [tuple(t ** j for j in range(1, d + 1)) for t in range(1, n + 1)])
 
 
 def gale_evenness_facets(n, d):
@@ -67,13 +47,12 @@ def cyclic_facet_count(n, d) -> int:
     )
 
 
-def positive_cocircuit_facets(cfg: CyclicConfiguration):
-    """Facets recovered from positive cocircuits of the configuration.
+def positive_cocircuit_facets(v: VPolytope):
+    """Facets recovered from positive cocircuits of the points of ``v``.
 
-    A hyperplane spanned by rank-1 points whose cocircuit (the sign pattern
-    of the other points against it) is one-signed marks a facet; those are
-    the facets of the hull of the dehomogenized points.  Returns their
-    1-based vertex index sets.
+    A hyperplane spanned by homogenized points whose cocircuit (the sign
+    pattern of the other points against it) is one-signed marks a facet;
+    those are the facets of the hull of ``v``.  Returns their 1-based vertex
+    index sets.
     """
-    v = VPolytope(cfg.rank - 1, [cfg.row(i)[1:] for i in range(cfg.n)])
     return {members(f << 1) for f in facets_from_vrep(v).facets}

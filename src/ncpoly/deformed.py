@@ -194,8 +194,8 @@ def _sign_label(tight, n):
 
 def cube_vertices_labeled(h: HPolytope) -> VPolytope:
     """Vertices of ``h``, labeled by tight signs, when ``h`` is a
-    combinatorial n-cube whose 2n inequalities come in pairs (2k, 2k+1) of
-    opposite facets; raises an NcpolyError otherwise.
+    combinatorial n-cube given by exactly 2n inequalities, in pairs
+    (2k, 2k+1) of opposite facets; raises an NcpolyError otherwise.
 
     H->V must give 2^n vertices, each tight on exactly one side of every
     pair, with distinct labels.  That is enough: every vertex of an
@@ -206,6 +206,8 @@ def cube_vertices_labeled(h: HPolytope) -> VPolytope:
     which fixes the face lattice.
     """
     n = h.dim
+    if len(h.rows) != 2 * n:
+        raise ConstructionError(f"{len(h.rows)} inequalities, not the {2 * n} of {n} pairs")
     verts, scale = vertices_and_tight_sets(h)
     labels = [_sign_label(tight, n) for _, tight in verts]
     if None in labels:

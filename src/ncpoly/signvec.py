@@ -51,7 +51,10 @@ def vertex_set(sv):
 
 
 def members(mask):
-    """The frozenset of bit positions set in ``mask``."""
+    """The frozenset of bit positions set in ``mask``, which must not be
+    negative: a negative int has infinitely many bits set."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     out = []
     while mask:
         low = mask & -mask

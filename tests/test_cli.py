@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from ncpoly import gale, signvec
+from ncpoly import classify, gale, signvec
 from ncpoly.cli import main
 
 
@@ -99,6 +99,18 @@ def test_classify_command(capsys):
     assert code == 0
     assert data["triple_count"] == 6
     assert sorted(data["neighborly"]) == [[2, 2, 2], [3, 1, 2]]
+
+
+def test_classify_reports_a_failed_relation(capsys, monkeypatch):
+    # delta_3 of (2, 2, 2) pushed up breaks the tie with (3, 1, 2) and leaves
+    # (2, 2, 2) not minimal: the command says so and exits 1, no traceback
+    real = classify.delta
+    monkeypatch.setattr(
+        classify, "delta", lambda i, *t: real(i, *t) + (i == 3 and t == (2, 2, 2))
+    )
+    code, out, _ = run_cli(capsys, "classify", "--d", "5")
+    assert code == 1
+    assert '"ubc_pass": false' in out
 
 
 def test_examples_command(capsys):

@@ -15,7 +15,7 @@ from itertools import combinations, product
 import pytest
 
 from ncpoly import signvec
-from ncpoly.complexes import codim1_faces, free_coordinates, from_cube_facets
+from ncpoly.complexes import CubicalComplex, codim1_faces, free_coordinates, from_cube_facets
 from ncpoly.gale import facets_gale, to_sign_vector
 
 
@@ -143,3 +143,12 @@ def test_closure_of_faces_of_mixed_dimension():
     assert cx.faces_by_dim == sign_vector_closure(tops)
     assert cx.f_vector() == (11, 13, 6, 1)
     assert from_cube_facets([]).faces_by_dim == {}
+
+
+def test_a_negative_mask_is_refused():
+    # a negative int has infinitely many bits set: listing them never ended,
+    # so CubicalComplex hung in its constructor on a negative face mask
+    assert signvec.members(0b1011) == frozenset({0, 1, 3})
+    for bad in (signvec.members, lambda m: CubicalComplex({0: {m}})):
+        with pytest.raises(ValueError, match="negative mask -2"):
+            bad(-2)

@@ -4,7 +4,6 @@ from itertools import combinations
 import pytest
 
 from ncpoly.cyclic import (
-    CyclicConfiguration,
     cyclic_configuration,
     cyclic_facet_count,
     gale_evenness_facets,
@@ -12,62 +11,71 @@ from ncpoly.cyclic import (
 )
 from ncpoly.errors import DimensionError
 from ncpoly.intops import bareiss_det, clear_denominators, echelon
-from ncpoly.polytope import VPolytope, facets_from_vrep
+from ncpoly.polytope import VPolytope
 
 # The chirotope and the dual configuration are oriented-matroid facts about
 # the moment curve that only these tests read; the library itself recovers
-# the facets from positive cocircuits.
+# the facets from positive cocircuits.  Each reads the homogenized rows
+# (scale,) + p of a VPolytope, which are (1, t, ..., t^d) up to a positive
+# factor.
 
 
-def chirotope(cfg: CyclicConfiguration, subset):
+def moment_curve(ts, d):
+    """The points (t, t^2, ..., t^d) for the given parameters, which may be
+    ints, Fractions or strings like "1/10"."""
+    return VPolytope(d, [tuple(Fraction(t) ** j for j in range(1, d + 1)) for t in ts])
+
+
+def chirotope(v, subset):
     """Sign of the maximal minor on the given point subset."""
     subset = tuple(subset)
-    if len(subset) != cfg.rank:
+    if len(subset) != v.dim + 1:
         raise DimensionError("subset size must equal the rank")
-    det = bareiss_det(clear_denominators(cfg.row(i) for i in subset)[0])
+    det = bareiss_det([(v.scale,) + v.coords[i] for i in subset])
     return 0 if det == 0 else (1 if det > 0 else -1)
 
 
-def dual_configuration(cfg: CyclicConfiguration):
+def dual_configuration(v):
     """Representation of the dual: moment rows of complementary rank with
     every other row negated."""
-    dual_rank = cfg.n - cfg.rank
-    rows = []
-    for i in range(cfg.n):
-        t = Fraction(cfg.ts[i])
+    n = len(v.coords)
+    dual_rank = n - (v.dim + 1)
+    out = []
+    for i, p in enumerate(v.coords):
+        t = Fraction(p[0], v.scale)
         sign = 1 if i % 2 == 0 else -1
-        rows.append(tuple(sign * t ** j for j in range(dual_rank)))
-    return tuple(rows)
+        out.append(tuple(sign * t ** j for j in range(dual_rank)))
+    return tuple(out)
 
 
-def rank_pair(cfg: CyclicConfiguration):
+def rank_pair(v):
     return (
-        len(echelon(clear_denominators(cfg.row(i) for i in range(cfg.n))[0])),
-        len(echelon(clear_denominators(dual_configuration(cfg))[0])),
+        len(echelon([(v.scale,) + p for p in v.coords])),
+        len(echelon(clear_denominators(dual_configuration(v))[0])),
     )
 
 
+def cocircuit_facets(v):
+    """Facets read off the chirotope alone: a d-subset S spans a facet when
+    det(rows of S, row j) has one nonzero sign over every j not in S."""
+    n = len(v.coords)
+    out = set()
+    for s in combinations(range(n), v.dim):
+        signs = {chirotope(v, s + (j,)) for j in range(n) if j not in s}
+        if signs in ({1}, {-1}):
+            out.add(frozenset(i + 1 for i in s))
+    return out
+
+
 def test_chirotope_always_positive_for_increasing_parameters():
-    cfg = cyclic_configuration(6, 3)
-    assert all(chirotope(cfg, s) == 1 for s in combinations(range(6), 4))
+    v = cyclic_configuration(6, 3)
+    assert all(chirotope(v, s) == 1 for s in combinations(range(6), 4))
 
 
 def test_chirotope_wrong_subset_size():
-    cfg = cyclic_configuration(5, 2)
+    v = cyclic_configuration(5, 2)
     with pytest.raises(DimensionError):
-        chirotope(cfg, (0, 1))
-
-
-def test_parameters_must_increase():
-    with pytest.raises(ValueError):
-        cyclic_configuration(3, 2, ts=(1, 1, 2))
-
-
-def test_one_parameter_per_point():
-    # a short ts would otherwise fail later, in positive_cocircuit_facets
-    for ts in ((1, 2, 3), tuple(range(1, 8))):
-        with pytest.raises(ValueError, match="one parameter per point"):
-            cyclic_configuration(6, 3, ts=ts)
+        chirotope(v, (0, 1))
 
 
 def test_dimension_below_one_is_refused():
@@ -76,47 +84,53 @@ def test_dimension_below_one_is_refused():
     for d in (-1, 0):
         with pytest.raises(ValueError, match="need d >= 1"):
             cyclic_configuration(5, d)
-    assert cyclic_configuration(5, 1).rank == 2
+    assert cyclic_configuration(5, 1).coords == ((1,), (2,), (3,), (4,), (5,))
 
 
-def test_parameters_refuse_a_float():
-    # 0.1 would become 3602879701896397/36028797018963968, not 1/10
-    with pytest.raises(TypeError, match="not float"):
-        cyclic_configuration(6, 3, ts=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
-    with pytest.raises(TypeError, match="not float"):
-        cyclic_configuration(3, 2, ts=(1, 2.0, 3))
+def test_configuration_is_the_integer_moment_curve():
+    v = cyclic_configuration(5, 3)
+    assert v.scale == 1
+    assert v.coords == tuple((t, t * t, t ** 3) for t in range(1, 6))
+    assert v.labels is None
+
+
+# any increasing parameters give the same combinatorial type
 
 
 def test_parameters_as_ints():
-    cfg = cyclic_configuration(4, 2, ts=[-1, 0, 2, 5])
-    assert cfg.ts == (-1, 0, 2, 5)
-    assert all(type(t) is Fraction for t in cfg.ts)
+    v = moment_curve([-1, 0, 2, 5], 2)
+    assert v.scale == 1
+    assert all(chirotope(v, s) == 1 for s in combinations(range(4), 3))
+    assert positive_cocircuit_facets(v) == set(gale_evenness_facets(4, 2))
 
 
 def test_parameters_as_fractions():
     ts = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(7, 5))
-    assert cyclic_configuration(4, 2, ts=ts).ts == ts
+    v = moment_curve(ts, 2)
+    assert v.points == tuple((t, t * t) for t in ts)
+    assert all(chirotope(v, s) == 1 for s in combinations(range(4), 3))
+    assert positive_cocircuit_facets(v) == set(gale_evenness_facets(4, 2))
 
 
 def test_parameters_as_strings():
-    cfg = cyclic_configuration(6, 3, ts=["1/10", "1/5", "3/10", "2/5", "1/2", "3/5"])
-    assert cfg.ts[0] == Fraction(1, 10)
-    assert cfg.row(5) == (1, Fraction(3, 5), Fraction(9, 25), Fraction(27, 125))
-    assert len(positive_cocircuit_facets(cfg)) == cyclic_facet_count(6, 3)
+    v = moment_curve(["1/10", "1/5", "3/10", "2/5", "1/2", "3/5"], 3)
+    assert v.points[0][0] == Fraction(1, 10)
+    assert v.points[5] == (Fraction(3, 5), Fraction(9, 25), Fraction(27, 125))
+    facets = positive_cocircuit_facets(v)
+    assert facets == set(gale_evenness_facets(6, 3))
+    assert len(facets) == cyclic_facet_count(6, 3)
 
 
 def test_dual_minor_signs_follow_reorientation():
     # negating a row flips each maximal minor containing it; with rows
     # 2, 4, ... negated, the dual minor sign is (-1)^(number of even rows)
-    cfg = cyclic_configuration(6, 3)
-    dual = dual_configuration(cfg)
-    dual_rank = cfg.n - cfg.rank
+    v = cyclic_configuration(6, 3)
+    dual = dual_configuration(v)
+    dual_rank = len(dual[0])
     for subset in combinations(range(6), dual_rank):
         # the rows differ only in sign, so they clear over one denominator
         m = clear_denominators(dual[i] for i in subset)[0]
-        plain = clear_denominators(
-            tuple(Fraction(cfg.ts[i]) ** j for j in range(dual_rank)) for i in subset
-        )[0]
+        plain = [tuple(v.coords[i][0] ** j for j in range(dual_rank)) for i in subset]
         flips = sum(1 for i in subset if i % 2 == 1)
         assert bareiss_det(m) == (-1) ** flips * bareiss_det(plain)
         assert bareiss_det(plain) > 0
@@ -124,8 +138,7 @@ def test_dual_minor_signs_follow_reorientation():
 
 def test_rank_sum_is_n():
     for (n, d) in [(5, 2), (6, 3), (7, 4), (8, 5)]:
-        cfg = cyclic_configuration(n, d)
-        rp, rd = rank_pair(cfg)
+        rp, rd = rank_pair(cyclic_configuration(n, d))
         assert rp == d + 1
         assert rp + rd == n
 
@@ -186,30 +199,25 @@ def test_c4_7_has_14_facets():
     assert cyclic_facet_count(7, 4) == 14
 
 
-@pytest.mark.parametrize("n,d", [(5, 2), (6, 3), (7, 4), (8, 5), (7, 2), (8, 3)])
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(3, 11) for d in range(2, n)])
 def test_cocircuits_match_evenness_and_oracle(n, d):
-    cfg = cyclic_configuration(n, d)
+    # the oracle is the chirotope, not a hull: positive_cocircuit_facets
+    # reads its facets off the hull of these same points
+    v = cyclic_configuration(n, d)
     even = set(gale_evenness_facets(n, d))
-    cocirc = positive_cocircuit_facets(cfg)
-    pts = [tuple(Fraction(t) ** j for j in range(1, d + 1)) for t in range(1, n + 1)]
-    inc = facets_from_vrep(VPolytope(d, pts))
-    geometric = {frozenset(i + 1 for i in f) for f in inc.incidence}
-    assert even == cocirc == geometric
+    assert positive_cocircuit_facets(v) == even == cocircuit_facets(v)
 
 
 def test_deletion_is_alternating():
-    cfg = cyclic_configuration(6, 2, ts=(0, 1, 2, 3, 4, 5))
-    sub = cyclic_configuration(5, 2, ts=cfg.ts[1:])
+    v = moment_curve(range(6), 2)
+    sub = VPolytope(2, v.coords[1:])
     assert all(chirotope(sub, s) == 1 for s in combinations(range(5), 3))
 
 
 def test_contraction_of_first_element_is_alternating():
     # with t1 = 0 the contraction is the first-row-and-column deletion;
     # rescaling rows by 1/t brings back moment rows, so minors stay positive
-    cfg = cyclic_configuration(6, 3, ts=(0, 1, 2, 3, 4, 5))
-    contracted = clear_denominators(
-        tuple(Fraction(t) ** j for j in range(1, 4)) for t in cfg.ts[1:]
-    )[0]
+    contracted = moment_curve(range(6), 3).coords[1:]
     assert len(echelon(contracted)) == 3
     for subset in combinations(range(5), 3):
         assert bareiss_det([contracted[i] for i in subset]) > 0

@@ -200,7 +200,9 @@ def _cube_check_family():
 def test_cube_check_matches_lattice_reference():
     answers = []
     for h in _cube_check_family():
-        want = _lattice_cube_check(h)
+        # the lattice reference reads the 2n paired rows only; a system with
+        # any other row is not n pairs, whatever its lattice
+        want = len(h.rows) == 2 * h.dim and _lattice_cube_check(h)
         if want:
             labels = cube_vertices_labeled(h).labels
             assert len(set(labels)) == len(labels) == 2 ** h.dim, h.inequalities
@@ -208,7 +210,18 @@ def test_cube_check_matches_lattice_reference():
             with pytest.raises(NcpolyError):
                 cube_vertices_labeled(h)
         answers.append(want)
-    assert (answers.count(True), answers.count(False)) == (87, 67)
+    assert (answers.count(True), answers.count(False)) == (63, 91)
+
+
+def test_cube_check_refuses_rows_outside_the_pairs():
+    # the unit square plus the redundant row x + y <= 2: its four vertices
+    # carry the four sign labels, but the proof that the labels fix the face
+    # lattice needs every inequality to be one side of one of the n pairs
+    square = [((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1)]
+    assert len(set(cube_vertices_labeled(HPolytope(2, square)).labels)) == 4
+    for rows in (square + [((1, 1), 2)], square[:3]):
+        with pytest.raises(ConstructionError, match=f"{len(rows)} inequalities"):
+            cube_vertices_labeled(HPolytope(2, rows))
 
 
 def test_certify_refuses_epsilon_out_of_range():

@@ -1,4 +1,4 @@
-"""The package's record types: five namedtuples built positionally in the
+"""The package's record types: four namedtuples built positionally in the
 field order below, and the plain class ``CubicalComplex``."""
 
 from fractions import Fraction
@@ -7,7 +7,6 @@ import pytest
 
 from ncpoly.classify import UBCReport, WitnessReport
 from ncpoly.complexes import CubicalComplex
-from ncpoly.cyclic import CyclicConfiguration, cyclic_configuration
 from ncpoly.deformed import ProjectedCube, projected_cube
 from ncpoly.surgery import SphereReport
 
@@ -21,7 +20,6 @@ from ncpoly.surgery import SphereReport
             ("all_vertices", "cube_graph", "cubical", "cube_facet_at_base", "large_facet_sizes"),
         ),
         (SphereReport, ("ridges_in_two_facets", "connected", "euler_zero", "links_ok")),
-        (CyclicConfiguration, ("n", "rank", "ts")),
         (ProjectedCube, ("n", "d", "epsilon", "hrep", "cube", "shadow")),
     ],
 )
@@ -37,14 +35,6 @@ def test_projected_cube_is_immutable():
         pc.epsilon = Fraction(1, 2)
     with pytest.raises(AttributeError):
         pc.extra = 1
-
-
-def test_cyclic_configuration_is_immutable():
-    cfg = cyclic_configuration(4, 2)
-    with pytest.raises(AttributeError):
-        cfg.ts = (1, 2, 3, 4)
-    with pytest.raises(AttributeError):
-        cfg.extra = 1
 
 
 def test_ubc_report_ok_means_no_failures():

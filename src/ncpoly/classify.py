@@ -105,13 +105,12 @@ def pklm_sphere(d, triple) -> CubicalComplex:
     faces_by_dim = {dim: set() for dim in range(d)}
     for dim in range(d):
         for zeros in combinations(range(d + 1), dim):
-            # the face freeing just the zeroes, at the all-minus base and at
-            # every mask over the fixed coordinates; its vertices there are
-            # base | o = base + o, so its vertex mask is low << base
-            low = signvec.vertex_set([0 if i in zeros else -1 for i in range(d + 1)])
-            bases = signvec.vertices_bits([-1 if i in zeros else 0 for i in range(d + 1)])
-            for base in bases:
-                neg = bases[-1] ^ base  # the fixed coordinates at -1
+            # the faces cube_face(free, base) = low << base, base over the fixed coordinates
+            free = sum(1 << i for i in zeros)
+            fixed = ((1 << d + 1) - 1) ^ free
+            low = signvec.cube_face(free, 0)
+            for base in signvec.members(signvec.cube_face(fixed, 0)):
+                neg = fixed ^ base  # the fixed coordinates at -1
                 if (base & plus or neg & minus) and (base & ~plus or neg & ~minus):
                     faces_by_dim[dim].add(low << base)
     return CubicalComplex(faces_by_dim)

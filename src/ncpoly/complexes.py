@@ -7,18 +7,18 @@ vertices.  The connectivity of a complex (vertices joined by edges) and of
 a vertex link (cubes joined by quads) is one graph walk, ``_connected``.
 
 Faces of the n-cube are masks over its vertex IDs too (bit i of an ID set
-means coordinate i is +1; ``signvec.vertex_set`` turns a sign vector into
-such a mask).  Two faces of one cube meet in a face whose vertex set is the
-intersection, so the face algebra is bitwise: the meet is ``a & b`` (0 when
-disjoint), a is a face of b when ``a & b == a``, and the face of F opposite
-its facet Q is ``F & ~Q``.  ``free_coordinates`` and ``codim1_faces`` read
-a face's coordinates off its vertex IDs.
+means coordinate i is +1), each ``signvec.cube_face(free, ones)``.  Two
+faces of one cube meet in a face whose vertex set is the intersection, so
+the face algebra is bitwise: the meet is ``a & b`` (0 when disjoint), a is
+a face of b when ``a & b == a``, and the face of F opposite its facet Q is
+``F & ~Q``.  ``free_coordinates`` and ``codim1_faces`` read ``ones`` off a
+face's lowest vertex ID and ``ones | free`` off its highest.
 """
 
 from collections import Counter
 from functools import reduce
 from itertools import combinations
-from operator import and_, or_
+from operator import or_
 
 from . import signvec
 from .errors import ConstructionError
@@ -154,29 +154,35 @@ def _connected(nodes, links):
     return len(seen) == len(touching)
 
 
+def _free_and_ones(face):
+    """``(free, ones)`` of the mask ``cube_face(free, ones)``; any other is refused."""
+    ones = (face & -face).bit_length() - 1
+    free = (face.bit_length() - 1) & ~ones
+    if face <= 0 or face != signvec.cube_face(free, ones):
+        raise ValueError(f"mask {face} is not a cube face")
+    return free, ones
+
+
 def free_coordinates(face):
-    """The coordinates a cube face (a mask over cube vertex IDs) is free in,
-    as a bitmask: the bits that vary over its vertex IDs."""
-    ids = signvec.members(face)
-    return reduce(or_, ids) ^ reduce(and_, ids)
+    """The coordinates a cube face mask is free in, as a bitmask."""
+    return _free_and_ones(face)[0]
 
 
 def codim1_faces(face):
-    """The 2k codimension-1 faces of a cube k-face, as masks: the face split
-    on each free coordinate into the vertices with that bit set and the rest."""
-    ids = signvec.members(face)
-    free = reduce(or_, ids) ^ reduce(and_, ids)  # free_coordinates, on ids read once
+    """The 2k codimension-1 faces of a cube k-face, as masks: for each free
+    bit b in increasing order, the half at b = +1, then the half at b = -1."""
+    free, ones = _free_and_ones(face)
     out = []
     for i in range(free.bit_length()):
         if free >> i & 1:
-            upper = sum(1 << v for v in ids if v >> i & 1)
-            out += [upper, face ^ upper]
+            lower = signvec.cube_face(free ^ 1 << i, ones)
+            out += [lower << (1 << i), lower]
     return out
 
 
 def from_cube_facets(facets):
     """Downward closure of cube faces given as masks over the cube's vertex
-    IDs (``signvec.vertex_set``)."""
+    IDs (``signvec.cube_face``); a mask that is not a cube face is refused."""
     faces_by_dim = {}
     for f in facets:
         faces_by_dim.setdefault(f.bit_count().bit_length() - 1, set()).add(f)

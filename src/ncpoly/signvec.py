@@ -4,9 +4,10 @@ A face of the n-cube is a vector in {+1, -1, 0}^n; zero positions are the
 free coordinates, so a face with k zeroes is a k-face.  Vertices are encoded
 as bitmasks: bit i set means coordinate i equals +1.  Sign vectors are the
 gale labels of facets and the text of the CLI; every face operation runs on
-vertex masks instead.  ``vertex_set`` is the one bridge: it turns a face
-into the bitmask of its vertex IDs, the face format of ``complexes``, and
-``members`` lists the IDs in such a mask.
+vertex masks instead.  ``cube_face(free, ones)`` turns a face into the mask
+of its vertex IDs ``ones | s``, s a subset of ``free`` (the face format of
+``complexes``; its lowest ID is ``ones``, its highest ``ones | free``).
+``vertex_set`` applies it to a sign vector; ``members`` lists a mask's IDs.
 """
 
 from math import comb
@@ -27,27 +28,24 @@ def fmt(sv):
     return "".join(CHARS[s] for s in sv)
 
 
-def zero_positions(sv):
-    return tuple(i for i, s in enumerate(sv) if s == 0)
-
-
-def vertices_bits(sv):
-    """All vertices of a face, as bitmasks over the +1 coordinates, in
-    binary counting order over the free coordinates (the first is bit 0)."""
-    base = 0
-    for i, s in enumerate(sv):
-        if s == 1:
-            base |= 1 << i
-    verts = [base]
-    for pos in zero_positions(sv):
-        bit = 1 << pos
-        verts += [v | bit for v in verts]
-    return verts
+def cube_face(free, ones):
+    """The mask of the face free in the coordinates of ``free`` and +1 in
+    those of ``ones`` (disjoint bitmasks): bit ``ones | s`` for each subset
+    s of ``free``, built by doubling on each free bit, then shifted."""
+    if free < 0 or ones < 0 or free & ones:
+        raise ValueError(f"no cube face with free {free} and ones {ones}")
+    mask = 1
+    while free:
+        b = free & -free
+        mask |= mask << b
+        free ^= b
+    return mask << ones
 
 
 def vertex_set(sv):
     """The face's vertices as one mask: bit v set for each vertex ID v."""
-    return sum(1 << v for v in vertices_bits(sv))
+    free, ones = (sum(1 << i for i, s in enumerate(sv) if s == t) for t in (0, 1))
+    return cube_face(free, ones)
 
 
 def members(mask):

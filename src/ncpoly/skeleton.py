@@ -67,6 +67,8 @@ def dehn_sommerville_check(fvec, d) -> bool:
 
 def double_r_cubicality_check(inc: IncidenceStructure, r) -> bool:
     """Every proper face of dimension <= 2r has 2^dim vertices."""
+    if r < 0:
+        raise ValueError("need r >= 0")
     return all(
         f.bit_count() == 1 << k
         for k, masks in face_masks(inc).items()

@@ -7,20 +7,29 @@ coordinates) or, in the library, the mask of its vertex IDs
 ``is_subface``, ``subfaces``, ``all_faces``, ``opposite`` and the closure
 ``sign_vector_closure``) were the library's before the surgery and the
 closure moved to masks; they stay here as the references the mask code is
-compared against, and other test files import them.
+compared against, and other test files import them.  The vertex-ID forms of
+``free_coordinates`` and ``codim1_faces`` (the library's until they read a
+face's coordinates off its lowest and highest vertex ID) stay here too.
 """
 
+import signal
+from functools import reduce
 from itertools import combinations, product
+from operator import and_, or_
 
 import pytest
 
-from ncpoly import signvec
+from ncpoly import complexes, signvec
 from ncpoly.complexes import CubicalComplex, codim1_faces, free_coordinates, from_cube_facets
-from ncpoly.gale import facets_gale, to_sign_vector
+from ncpoly.gale import facet_vertex_masks, facets_gale, to_sign_vector
 
 
 def face_dim(sv):
     return sum(1 for s in sv if s == 0)
+
+
+def zero_positions(sv):
+    return tuple(i for i, s in enumerate(sv) if s == 0)
 
 
 def is_subface(sub, face):
@@ -43,7 +52,7 @@ def meet(a, b):
 
 def subfaces(sv, k):
     """All k-faces of the cube face ``sv``."""
-    zeros = signvec.zero_positions(sv)
+    zeros = zero_positions(sv)
     if k > len(zeros):
         return
     sv = list(sv)
@@ -123,7 +132,43 @@ def test_codim1_faces_are_the_sign_vector_subfaces(n):
         got = codim1_faces(mask)
         want = {signvec.vertex_set(s) for s in subfaces(f, k - 1)} if k else set()
         assert len(got) == 2 * k and set(got) == want, f
-        assert free_coordinates(mask) == sum(1 << i for i in signvec.zero_positions(f))
+        assert free_coordinates(mask) == sum(1 << i for i in zero_positions(f))
+
+
+def id_free_coordinates(face):
+    """The free coordinates as the bits that vary over the face's vertex IDs."""
+    ids = signvec.members(face)
+    return reduce(or_, ids) ^ reduce(and_, ids)
+
+
+def id_codim1_faces(face):
+    """The face split on each free coordinate into the vertex IDs with that
+    bit set and the rest."""
+    ids = signvec.members(face)
+    free = id_free_coordinates(face)
+    out = []
+    for i in range(free.bit_length()):
+        if free >> i & 1:
+            upper = sum(1 << v for v in ids if v >> i & 1)
+            out += [upper, face ^ upper]
+    return out
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_face_readers_match_the_vertex_id_reference(n):
+    # every face of the n-cube, the order of the codimension-1 faces included
+    for f in all_faces(n, n):
+        mask = signvec.vertex_set(f)
+        assert codim1_faces(mask) == id_codim1_faces(mask), f
+        assert free_coordinates(mask) == id_free_coordinates(mask), f
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(2, 10) for d in range(2, n + 1)])
+def test_gale_closure_matches_the_vertex_id_closure(n, d, monkeypatch):
+    masks = facet_vertex_masks(n, d)
+    got = from_cube_facets(masks).faces_by_dim
+    monkeypatch.setattr(complexes, "codim1_faces", id_codim1_faces)
+    assert got == from_cube_facets(masks).faces_by_dim
 
 
 BOUNDARIES = [(n, d) for n in range(3, 8) for d in range(3, n + 1)]
@@ -152,3 +197,40 @@ def test_a_negative_mask_is_refused():
     for bad in (signvec.members, lambda m: CubicalComplex({0: {m}})):
         with pytest.raises(ValueError, match="negative mask -2"):
             bad(-2)
+
+
+def _within(seconds, call):
+    """``call()``, stopped by an alarm after ``seconds``: a hang fails the
+    test instead of stalling the suite."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"no result in {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_cube_face_refuses_negative_or_overlapping_bits():
+    # a negative free mask has infinitely many bits, so the doubling never
+    # ended; overlapping bits would shift the face onto wrong vertex IDs
+    assert signvec.cube_face(0b101, 0b010) == sum(1 << v for v in (0b010, 0b011, 0b110, 0b111))
+    for free, ones in ((-1, 0), (0, -1), (0b11, 0b10)):
+        with pytest.raises(ValueError, match="no cube face"):
+            _within(1, lambda: signvec.cube_face(free, ones))
+
+
+def test_a_mask_that_is_no_cube_face_is_refused():
+    # vertex IDs {0, 1, 3} span no face: its closure had a three-vertex
+    # "1-face"; {1, 2} has the right count but is no edge, and was split
+    # into the faces [2, 4, 4, 2]
+    for bad in (0b1011, 0b0110, 0, -2):
+        for read in (free_coordinates, codim1_faces):
+            with pytest.raises(ValueError, match="is not a cube face"):
+                read(bad)
+    with pytest.raises(ValueError, match="mask 11 is not a cube face"):
+        from_cube_facets([0b1011])

@@ -94,7 +94,7 @@ def _reference_label_sets(n, d):
     return {
         frozenset(
             signvec.vertex_tuple_from_bits(b, n)
-            for b in signvec.vertices_bits(_reference_sign_vector(alpha, n))
+            for b in signvec.members(signvec.vertex_set(_reference_sign_vector(alpha, n)))
         )
         for alpha in facets_gale(n, d)
     }

@@ -12,7 +12,9 @@ every test ``CubicalComplex`` has; so must the lattices of the oracle pairs,
 of ``first_construction(4)`` and of the cubical ambiguity witness, while the
 non-cubical witness is refused.  Every one of these lattices is also the
 one the all-facets reference grades.  At d = 4 the hull's f-vector is the
-closed form 2^(n-2) (4, 2n, 3n-6, n-2).
+closed form 2^(n-2) (4, 2n, 3n-6, n-2), and so is the f-vector of the
+closure of the signed-label facets, with no hull, up to n = 12 (n = 13
+behind the ``slow`` marker).
 """
 
 import pytest
@@ -23,10 +25,10 @@ from ncpoly.classify import (
     NONCUBICAL_WITNESS_POINTS,
     first_construction,
 )
-from ncpoly.complexes import CubicalComplex
+from ncpoly.complexes import CubicalComplex, from_cube_facets
 from ncpoly.deformed import projected_cube, shadow_incidence
 from ncpoly.errors import ConstructionError
-from ncpoly.gale import facet_vertex_label_sets
+from ncpoly.gale import facet_vertex_label_sets, facet_vertex_masks
 from ncpoly.polytope import VPolytope, f_vector, face_masks, facets_from_vrep, is_cubical
 from ncpoly.skeleton import dehn_sommerville_check, verify_skeleton_equivalence
 from test_polytope import all_facets_face_masks
@@ -84,7 +86,19 @@ def test_construction_and_witness_lattices_are_cubical_spheres():
 )
 def test_d4_f_vector_is_the_closed_form(n):
     # the abstract's d = 4 count: f_3 = (f_0/4) log2(f_0/4), from the hull
-    f = f_vector(facets_from_vrep(projected_cube(n, 4).shadow))
+    _assert_d4_closed_form(f_vector(facets_from_vrep(projected_cube(n, 4).shadow)), n)
+
+
+@pytest.mark.parametrize(
+    "n", list(range(4, 13)) + [pytest.param(13, marks=pytest.mark.slow)]
+)
+def test_d4_f_vector_is_the_closed_form_on_the_combinatorial_route(n):
+    # the same count past the hull's n = 10: the closure of the
+    # signed-label facets as cube faces
+    _assert_d4_closed_form(from_cube_facets(facet_vertex_masks(n, 4)).f_vector(), n)
+
+
+def _assert_d4_closed_form(f, n):
     assert f == tuple(2 ** (n - 2) * c for c in (4, 2 * n, 3 * n - 6, n - 2))
     quarter = f[0] // 4
     assert quarter == 1 << (n - 2) and f[3] == quarter * (quarter.bit_length() - 1)

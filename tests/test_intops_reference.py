@@ -1,6 +1,7 @@
 """The integer kernels of ``ncpoly.intops`` against sympy as an exact
-reference that shares no code with them, and ``signvec.vertices_bits``
-against a naive bitmask enumeration.
+reference that shares no code with them, and ``signvec.cube_face`` and
+``signvec.vertex_set`` against a naive sum over the subsets of a face's free
+coordinates.
 
 Matrices are small hypothesis-drawn integer matrices; half of the draws are
 products of two random factors through an inner dimension below the size,
@@ -23,7 +24,7 @@ from ncpoly.intops import (
     echelon_kernel,
     primitive,
 )
-from ncpoly.signvec import vertices_bits
+from ncpoly.signvec import cube_face, vertex_set
 from test_linalg import left_kernel
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -177,20 +178,22 @@ def test_echelon_kernel_matches_sympy_nullspace(system):
 
 
 @pytest.mark.parametrize("n", range(7))
-def test_vertices_bits_matches_naive_enumeration(n):
-    # every face of the n-cube: its vertices in binary counting order over
-    # the free coordinates, and exactly the cube vertices agreeing with it
+def test_cube_face_matches_naive_enumeration(n):
+    # every disjoint (free, ones) over n coordinates: bit ones + s for each
+    # subset s of free, as a sum over the subsets by their indices
+    for free in range(2 ** n):
+        pos = [i for i in range(n) if free >> i & 1]
+        span = sum(
+            1 << sum(1 << p for t, p in enumerate(pos) if bits >> t & 1)
+            for bits in range(2 ** len(pos))
+        )
+        for ones in range(2 ** n):
+            if not free & ones:
+                assert cube_face(free, ones) == span << ones, (free, ones)
+    # every face of the n-cube: exactly the cube vertices agreeing with it
     for sv in product((-1, 0, 1), repeat=n):
-        zeros = [i for i, s in enumerate(sv) if s == 0]
-        base = sum(1 << i for i, s in enumerate(sv) if s == 1)
-        want = [
-            base + sum(1 << pos for t, pos in enumerate(zeros) if bits >> t & 1)
-            for bits in range(2 ** len(zeros))
-        ]
-        got = vertices_bits(sv)
-        assert got == want, sv
         inside = [
             v for v in range(2 ** n)
             if all(s == 0 or (v >> i & 1) == (s == 1) for i, s in enumerate(sv))
         ]
-        assert sorted(got) == inside, sv
+        assert vertex_set(sv) == sum(1 << v for v in inside), sv

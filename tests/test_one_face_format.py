@@ -1,6 +1,7 @@
 """``complexes`` and ``surgery`` keep one face format, the vertex bitmask: of
 ``signvec`` they use only the bridge into masks (``parse``, ``vertex_set``,
-``members``), never a sign-vector face operation.  The check reads the
+``members``, and ``cube_face``, which builds a mask from two ints), never a
+sign-vector face operation.  The check reads the
 source with ``ast``, so it also sees names used inside functions."""
 
 import ast
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import ncpoly
 
-BRIDGE = {"parse", "vertex_set", "members"}
+BRIDGE = {"parse", "vertex_set", "members", "cube_face"}
 
 
 def _signvec_names(path):

@@ -129,7 +129,8 @@ def _reference_skeleton_equivalence(inc, n, r):
     by_label = {lab: i for i, lab in enumerate(inc.labels)}
     for sv in all_faces(n, max_zeros=r):
         want = frozenset(
-            by_label[signvec.vertex_tuple_from_bits(b, n)] for b in signvec.vertices_bits(sv)
+            by_label[signvec.vertex_tuple_from_bits(b, n)]
+            for b in signvec.members(signvec.vertex_set(sv))
         )
         if want not in faces[face_dim(sv)]:
             return False
@@ -263,6 +264,13 @@ def test_double_r_cubicality():
     for d in (3, 4):
         simplex = facets_from_vrep(_simplex(d))
         assert not double_r_cubicality_check(simplex, 1)
+
+
+def test_double_r_refuses_negative_r():
+    # r = -1 checked no face at all, so every incidence passed
+    simplex = facets_from_vrep(_simplex(3))
+    with pytest.raises(ValueError, match="need r >= 0"):
+        double_r_cubicality_check(simplex, -1)
 
 
 def test_double_r_on_shadow(constructed):

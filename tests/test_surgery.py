@@ -19,7 +19,7 @@ from ncpoly.surgery import (
     phi_boundary_faces,
     verify_sphere_like,
 )
-from test_complexes import face_dim, is_subface, meet, opposite, subfaces
+from test_complexes import face_dim, is_subface, meet, opposite, subfaces, zero_positions
 
 # the chain as sign vectors: the gale labels the surgery's masks come from
 CHAIN = tuple(map(signvec.parse, ("-+00+0", "-00++0", "--0+00")))
@@ -206,7 +206,7 @@ def _reference_glue_ball_cells():
     bc = meet(facet_b, facet_c)
     top = opposite(facet_a, ab)
     bottom = opposite(facet_c, bc)
-    p, q = signvec.zero_positions(top)
+    p, q = zero_positions(top)
 
     def vert(base, sp, sq):
         sv = list(base)

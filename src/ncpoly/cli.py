@@ -163,10 +163,10 @@ def cmd_classify(args):
 
 
 def cmd_surgery(args):
-    psi = surgery.build_psi()
+    base = surgery.boundary_complex()
+    psi = surgery.build_psi(base)
     report = surgery.verify_sphere_like(psi)
     degrees = surgery.chain_edge_facet_degrees()
-    base = surgery.boundary_complex()
     out = {
         "f_vector": list(psi.f_vector()),
         "base_f_vector": list(base.f_vector()),

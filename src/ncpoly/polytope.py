@@ -334,17 +334,17 @@ def face_masks(inc: IncidenceStructure):
     intersections of F with the facets (all of them, with no scan, when
     they have one size, as on cubical and simplicial polytopes: two
     distinct sets of one size never nest).  Only the facets that cut F,
-    meeting it without holding it, give such an intersection, and each of
-    them also cuts every face that holds F.  So a face is cut only by the
-    cutters of the face it was reached from, filtered to its own; the
-    faces below it inherit that filtered list, and only the lists of the
-    level being cut are kept.  A polytope's face lattice is graded, so
-    every face is reached at one depth only, and its dimension is the
-    depth of the vertices minus its own.  The keys run from 0 to d-1 with
-    no gap.
+    meeting it without holding it, give such an intersection, and F hands
+    down only its neighbours, those whose cut is maximal.  That loses no
+    face (the diamond property): a facet H of a facet c of F is a ridge of
+    F, so it lies in exactly one other facet F & g of F, and H = c & g.  So
+    any parent's list serves c, and only the lists of the level being cut
+    are kept.  A polytope's face lattice is graded, so every face is
+    reached at one depth only, and its dimension is the depth of the
+    vertices minus its own.  The keys run from 0 to d-1 with no gap.
     """
     if inc._lattice is None:
-        # each face of the level -> a list that holds every facet cutting it
+        # each face of the level -> a list that holds every neighbour of it
         level = dict.fromkeys(inc.facets, inc.facets)
         levels = []
         while level:
@@ -362,7 +362,8 @@ def face_masks(inc: IncidenceStructure):
                                 break
                         else:
                             kept.append(cut)
-                    cuts = kept
+                    cuts = set(kept)
+                    cutters = [g for g in cutters if f & g in cuts]
                 below.update(dict.fromkeys(cuts, cutters))
             level = below
         top = len(levels) - 1

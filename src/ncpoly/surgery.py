@@ -115,12 +115,13 @@ def _glue_ball_cells():
     return edges, side_quads + path_quads, cubes
 
 
-def build_psi() -> CubicalComplex:
-    """Perform the surgery on the boundary facets A, B, C; validate the result."""
+def build_psi(base=None) -> CubicalComplex:
+    """Perform the surgery on the boundary facets A, B, C of ``base``
+    (``boundary_complex()`` when not given); validate the result."""
     if not intersection_lemma_check():
         raise ConstructionError("intersection lemma fails; surgery unsafe")
     ab, bc = _quad_between()
-    base = boundary_complex().faces_by_dim
+    base = (base or boundary_complex()).faces_by_dim
     if not {FACET_A, FACET_B, FACET_C} <= base[3]:
         raise ConstructionError("chain facet missing from the facet list")
     edges, quads, cubes = _glue_ball_cells()

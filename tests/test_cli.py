@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from ncpoly import classify, gale, signvec
+from ncpoly import classify, gale, signvec, surgery
 from ncpoly.cli import main
 
 
@@ -243,6 +243,17 @@ def _recorded_digest(capsys, command):
 @pytest.mark.parametrize("command,code,digest", RECORDED_OUTPUTS)
 def test_output_matches_recording(capsys, command, code, digest):
     assert _recorded_digest(capsys, command) == (digest, code)
+
+
+def test_surgery_builds_the_boundary_complex_once(capsys, monkeypatch):
+    built = []
+    original = surgery.from_cube_facets
+    monkeypatch.setattr(
+        surgery, "from_cube_facets", lambda facets: built.append(1) or original(facets)
+    )
+    digest = next(d for command, _, d in RECORDED_OUTPUTS if command == "surgery")
+    assert _recorded_digest(capsys, "surgery") == (digest, 0)
+    assert len(built) == 1
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys):

@@ -10,6 +10,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from ncpoly import classify, polytope
+from ncpoly.cyclic import cyclic_configuration
 from ncpoly.deformed import build_deformed_cube, projected_cube
 from ncpoly.errors import (
     DimensionError,
@@ -738,7 +739,14 @@ def test_face_masks_match_face_lattice():
         facets_from_vrep(VPolytope(4, classify.CUBICAL_WITNESS_POINTS)),
         facets_from_vrep(VPolytope(4, classify.NONCUBICAL_WITNESS_POINTS)),
         facets_from_vrep(classify.first_construction(4)[1]),
+        facets_from_vrep(classify.first_construction(6)[1]),
     ]
+    # faces whose cuts have more than one size, so that only the neighbours
+    # are handed down: cyclic polytopes (the benchmark's pairs) and shadows
+    # with n > d
+    cyclic_pairs = ((10, 4), (12, 4), (9, 5), (11, 6))
+    structures += [facets_from_vrep(cyclic_configuration(n, d)) for n, d in cyclic_pairs]
+    structures += [facets_from_vrep(projected_cube(n, d).shadow) for n, d in ((7, 5), (8, 6))]
     rng = random.Random(20261018)
     want = len(structures) + 40
     while len(structures) < want:

@@ -117,15 +117,19 @@ class VPolytope:
 
 class IncidenceStructure:
     """Vertex-facet incidence plus the face lattice derived from it: facet i
-    is ``facets[i]``, the nonempty bitmask of its vertices (bit v is vertex v)."""
+    is ``facets[i]``, the nonempty bitmask of its vertices (bit v is vertex v),
+    and no two facets have the same mask."""
 
     def __init__(self, vertex_count, facets, labels=None, inequalities=None):
         self.vertex_count = vertex_count
         self.facets = tuple(facets)
         self.facet_count = len(self.facets)
+        first = {}  # mask -> index of its first facet
         for i, f in enumerate(self.facets):
             if not 0 < f < 1 << vertex_count:
                 raise ValueError(f"facet {i} is empty or has a vertex past {vertex_count - 1}")
+            if first.setdefault(f, i) != i:
+                raise ValueError(f"facet {i} repeats facet {first[f]}")
         self.labels = labels
         self.inequalities = inequalities
         self._lattice = None  # face_masks(self), built on first use
@@ -335,13 +339,16 @@ def face_masks(inc: IncidenceStructure):
     they have one size, as on cubical and simplicial polytopes: two
     distinct sets of one size never nest).  Only the facets that cut F,
     meeting it without holding it, give such an intersection, and F hands
-    down only its neighbours, those whose cut is maximal.  That loses no
-    face (the diamond property): a facet H of a facet c of F is a ridge of
-    F, so it lies in exactly one other facet F & g of F, and H = c & g.  So
-    any parent's list serves c, and only the lists of the level being cut
-    are kept.  A polytope's face lattice is graded, so every face is
-    reached at one depth only, and its dimension is the depth of the
-    vertices minus its own.  The keys run from 0 to d-1 with no gap.
+    down only its neighbours, those whose cut is maximal.  F walks the list
+    it was handed once, taking each cut F & g once, and each face below F
+    takes F's list of cutters as it stands.  That loses no face (the
+    diamond property): a facet H of a facet c of F is a ridge of F, so it
+    lies in exactly one other facet F & g of F, and H = c & g.  So any
+    parent's list serves c, the last one written stands, and only the
+    lists of the level being cut are kept.  A polytope's face lattice is
+    graded, so every face is reached at one depth only, and its dimension
+    is the depth of the vertices minus its own.  The keys run from 0 to
+    d-1 with no gap.
     """
     if inc._lattice is None:
         # each face of the level -> a list that holds every neighbour of it
@@ -351,20 +358,27 @@ def face_masks(inc: IncidenceStructure):
             levels.append(frozenset(level))
             below = {}
             for f, inherited in level.items():
-                cutters = [g for g in inherited if 0 != f & g != f]
-                cuts = {f & g for g in cutters}
+                # one pass: cuts[i] is f & cutters[i]
+                cutters, cuts = [], []
+                for g in inherited:
+                    c = f & g
+                    if 0 != c != f:
+                        cutters.append(g)
+                        cuts.append(c)
                 if len(set(map(int.bit_count, cuts))) > 1:
                     # larger cuts first, so a cut is maximal when no kept one holds it
                     kept = []
-                    for cut in sorted(cuts, key=int.bit_count, reverse=True):
+                    for cut in sorted(set(cuts), key=int.bit_count, reverse=True):
                         for k in kept:
                             if cut & k == cut:
                                 break
                         else:
                             kept.append(cut)
-                    cuts = set(kept)
-                    cutters = [g for g in cutters if f & g in cuts]
-                below.update(dict.fromkeys(cuts, cutters))
+                    maximal = set(kept)
+                    cutters = [g for g, c in zip(cutters, cuts) if c in maximal]
+                    cuts = kept
+                for c in cuts:
+                    below[c] = cutters
             level = below
         top = len(levels) - 1
         inc._lattice = {top - depth: levels[depth] for depth in range(top, -1, -1)}

@@ -45,11 +45,15 @@ def verify_skeleton_equivalence(inc: IncidenceStructure, n, r) -> bool:
         return False
     # plus[j] holds the vertices labeled +1 at j; f varies at j when it meets it and its complement
     plus = [sum(1 << i for i, lab in enumerate(inc.labels) if lab[j] == 1) for j in range(n)]
-    return all(
-        f.bit_count() == 1 << k and sum(0 != f & p != f for p in plus) == k
-        for k in range(r + 1)
-        for f in masks.get(k, ())
-    )
+    for k in range(r + 1):
+        faces = list(masks.get(k, ()))
+        # varies[i] counts the coordinates at which faces[i] varies, one pass per coordinate
+        varies = [0] * len(faces)
+        for p in plus:
+            varies = [v + (0 != f & p != f) for v, f in zip(varies, faces)]
+        if any(f.bit_count() != 1 << k or v != k for f, v in zip(faces, varies)):
+            return False
+    return True
 
 
 def dehn_sommerville_check(fvec, d) -> bool:

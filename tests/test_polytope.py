@@ -704,6 +704,18 @@ def test_incidence_structure_refuses_facets_outside_its_vertices():
     assert inc.incidence == (frozenset({0, 1, 2, 3}), frozenset({0}))
 
 
+def test_incidence_structure_refuses_a_repeated_facet():
+    # the lattice keys its faces by mask, so a repeated facet would be
+    # counted in facet_count and dropped from the f-vector; the error names
+    # the repeat and the facet it repeats
+    for facets, index, first in (
+        ([0b0011, 0b0110, 0b1100, 0b1001, 0b0011], 4, 0),
+        ([0b0011, 0b0110, 0b0110], 2, 1),
+    ):
+        with pytest.raises(ValueError, match=f"facet {index} repeats facet {first}$"):
+            IncidenceStructure(4, facets)
+
+
 def test_coordinate_free_lattice_is_the_same():
     rng = random.Random(7)
     structures = [facets_from_vrep(projected_cube(5, 4).shadow)]
@@ -754,6 +766,29 @@ def test_face_masks_match_face_lattice():
             structures.append(facets_from_vrep(_random_point_set(rng, 2 + len(structures) % 3)))
         except SpanError:
             continue
+    # 0/1-polytopes: random vertex subsets of the 5-cube and the 6-cube
+    rng = random.Random(20261021)
+    zero_one = []
+    for d, count in ((5, 16), (6, 8)):
+        corners = list(product((0, 1), repeat=d))
+        want = len(zero_one) + count
+        while len(zero_one) < want:
+            try:
+                v = VPolytope(d, sorted(rng.sample(corners, rng.randint(d + 1, len(corners)))))
+                zero_one.append(facets_from_vrep(v))
+            except SpanError:
+                continue
+    # the two places where the list of cuts must agree with the set of them:
+    # a face whose cuts have two sizes, and a face that two facets cut alike
+    mixed = repeated = False
+    for inc in zero_one:
+        for fs in face_masks(inc).values():
+            for f in fs:
+                cuts = [f & g for g in inc.facets if 0 != f & g != f]
+                mixed |= len(set(map(int.bit_count, cuts))) > 1
+                repeated |= len(set(cuts)) < len(cuts)
+    assert mixed and repeated
+    structures += zero_one
     for inc in structures:
         masks = face_masks(inc)
         assert all(type(level) is frozenset for level in masks.values())

@@ -26,17 +26,16 @@ def cyclic_configuration(n, d) -> VPolytope:
 
 
 def gale_evenness_facets(n, d):
-    """Facet index sets (1-based) of the cyclic d-polytope on n vertices:
-    the d-subsets whose non-members are ``gap_even``, which is Gale's
-    condition that an even number of members lies between any two
-    non-members."""
+    """Facet index sets (1-based) of the cyclic d-polytope on n vertices,
+    in lexicographic order: the d-subsets whose non-members are
+    ``gap_even``, which is Gale's condition that an even number of members
+    lies between any two non-members."""
     if not n > d >= 2:
         raise ValueError("need n > d >= 2")
-    return [
-        frozenset(s)
-        for s in combinations(range(1, n + 1), d)
-        if gap_even([i for i in range(1, n + 1) if i not in s])
-    ]
+    # the non-member sets are walked in lexicographic order, and taking
+    # complements reverses it, so the list is read backwards
+    every = frozenset(range(1, n + 1))
+    return [every.difference(t) for t in combinations(range(1, n + 1), n - d) if gap_even(t)][::-1]
 
 
 def cyclic_facet_count(n, d) -> int:

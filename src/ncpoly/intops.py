@@ -5,15 +5,16 @@ and the hull.  Everything works on plain Python integers (arbitrary
 precision), with fraction-free eliminations (Bareiss 1968) so intermediate
 values stay integral.  Determinants come from ``bareiss_det``; rank and
 kernels come from the one ``echelon`` routine, a flat list of (index, row,
-pivot column) triples (a left kernel is the right kernel of the columns).
+pivot column) triples (a left kernel is the right kernel of the columns);
+the rays of the hull's simplicial start, the adjugate's columns, come from
+one Gauss-Jordan elimination beside the identity (``simplicial_rays``).
 Rational rows enter through ``clear_denominators``.  The innermost loops
-(the content gcd, the back-substitution dot product) are single calls into
-C builtins, and a row is divided by its content once, only when above 1.
+(the content gcd) are single calls into C builtins, and a row is divided
+by its content once, only when above 1.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 
 def primitive(v):
@@ -109,31 +110,33 @@ def echelon(rows):
     return red
 
 
-def echelon_kernel(red, width):
-    """Right kernel vector of a rank-deficient-by-one echelon system.
+def simplicial_rays(basis):
+    """Extreme rays of the simplicial cone {u : b . u >= 0 for each row b}
+    of a nonsingular square integer matrix B, in row order.
 
-    ``red`` is an ``echelon`` of ``width - 1`` independent rows over
-    ``width`` columns.  Returns the primitive integer vector u with
-    row . u = 0 for every row, sign-normalized on its first nonzero entry.
+    Ray i is column i of B's adjugate, signed so that row i reads it
+    positive, and made primitive: every other row reads it 0.  One
+    fraction-free Gauss-Jordan elimination of B's transpose beside the
+    identity: each step divides by the previous pivot exactly, and the
+    right block ends as D B^-T with D diagonal, so its row i is D_ii times
+    column i of B^-1.  Raises ArithmeticError when B is singular.
     """
-    # the width - 1 pivots are distinct, so the free column is the one
-    # missing from their sum
-    free = width * (width - 1) // 2
-    scale = 1
-    for _, prow, pc in red:
-        free -= pc
-        scale *= prow[pc]
-    u = [0] * width
-    u[free] = scale if scale > 0 else -scale
-    for _, prow, pc in reversed(red):
-        # u[pc] is still 0 here, so the pivot column adds nothing
-        q, rem = divmod(-sum(map(mul, prow, u)), prow[pc])
-        if rem:
-            raise ArithmeticError("non-integral back-substitution")
-        u[pc] = q
-    for x in u:
-        if x:
-            # divide once by the content, carrying the first nonzero sign
-            g = gcd(*u) if x > 0 else -gcd(*u)
-            return tuple([y // g for y in u])
-    raise ArithmeticError("zero kernel vector")
+    w = len(basis)
+    m = [[*col, *(int(i == j) for j in range(w))] for i, col in enumerate(zip(*basis))]
+    prev = 1
+    for k in range(w):
+        if not m[k][k]:
+            for i in range(k + 1, w):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    break
+            else:
+                raise ArithmeticError("singular basis")
+        row_k = m[k]
+        pivot = row_k[k]
+        for i, row_i in enumerate(m):
+            if i != k:
+                t = row_i[k]
+                m[i] = [(pivot * a - t * b) // prev for a, b in zip(row_i, row_k)]
+        prev = pivot
+    return [primitive(row[w:] if row[k] > 0 else [-x for x in row[w:]]) for k, row in enumerate(m)]

@@ -31,7 +31,7 @@ from .errors import (
     SpanError,
     UnboundedPolytopeError,
 )
-from .intops import clear_denominators, echelon, echelon_kernel, primitive
+from .intops import clear_denominators, echelon, primitive, simplicial_rays
 from .signvec import members, vertex_tuple_from_bits
 
 
@@ -145,13 +145,27 @@ class IncidenceStructure:
 # ---------------------------------------------------------------------------
 
 
+def _index(holders, zeros, first):
+    """OR the ids first, first + 1, ... of the rays with these zero sets into
+    ``holders`` at every row each vanishes on; returns the next free id."""
+    for z in zeros:
+        bit = 1 << first
+        first += 1
+        while z:
+            j = z.bit_length() - 1
+            holders[j] |= bit
+            z ^= 1 << j
+    return first
+
+
 def _extreme_rays(rows, width):
     """Extreme rays of the pointed cone {u : row . u >= 0 for every row}.
 
     Incremental double description (Motzkin et al. 1953; Fukuda & Prodon,
     "Double description method revisited", 1996).  The cone of ``width``
-    independent rows, taken greedily in input order, is simplicial; the
-    other rows then cut it one at a time, in input order.  A cut keeps the
+    independent rows, taken greedily in input order, is simplicial, and its
+    rays come from one elimination (``intops.simplicial_rays``); the other
+    rows then cut it one at a time, in input order.  A cut keeps the
     rays on its nonnegative side and adds the primitive combination of
     every adjacent pair it separates.  Rays p and q are adjacent exactly
     when their common zero set Z has at least width-2 rows and no third ray
@@ -162,12 +176,14 @@ def _extreme_rays(rows, width):
     independent, and the width-2 rows of Z bound a 2-face whose only rays
     are p and q.  This covers every vertex of a simple H-polytope and every
     facet of a simplicial hull.  Otherwise the third ray is looked up in
-    ``holders``, the bitmask of the rays that vanish on each row.  A ray
-    keeps the id it was made with, and ids grow in creation order, which is
-    also the order of the ray list, so the index is only ever added to: a
-    cut ORs each new ray into the rows it vanishes on, and the rays it drops
-    leave ``live``.  The live rays that vanish on all of Z are the AND of
-    Z's rows, taken until only p and q are left.  ``rows`` are integer
+    ``holders``, the bitmask of the rays that vanish on each row, which is
+    built from the live rays' zero sets at the first pair that needs it, so
+    a run whose pairs all have a simple side never builds it.  From then on
+    a ray keeps the id it was made with, and ids grow in creation order,
+    which is also the order of the ray list, so the index is only ever added
+    to: a cut ORs each new ray into the rows it vanishes on, and the rays it
+    drops leave ``live``.  The live rays that vanish on all of Z are the AND
+    of Z's rows, taken until only p and q are left.  ``rows`` are integer
     vectors of length ``width``.
 
     Returns (ray, zero set) pairs: a primitive integer ray and the bitmask
@@ -177,19 +193,11 @@ def _extreme_rays(rows, width):
     basis = [i for i, _, _ in echelon(rows)]
     if len(basis) < width:
         return None
-    rays, zeros = [], []
-    for i in basis:
-        ray = echelon_kernel(echelon([rows[j] for j in basis if j != i]), width)
-        if sum(map(mul, rows[i], ray)) < 0:
-            ray = tuple(-x for x in ray)
-        rays.append(ray)
-        zeros.append(sum(1 << j for j in basis if j != i))
+    rays = simplicial_rays([rows[i] for i in basis])
+    every = sum(1 << i for i in basis)
+    zeros = [every ^ 1 << i for i in basis]
 
-    ids = list(range(width))
-    live, next_id = (1 << width) - 1, width
-    holders = [0] * len(rows)
-    for t, j in enumerate(basis):
-        holders[j] = live ^ 1 << t
+    holders = None  # built at the first pair that reads it
     in_basis = set(basis)
     for k, row in enumerate(rows):
         if k in in_basis:
@@ -206,6 +214,11 @@ def _extreme_rays(rows, width):
                 if common.bit_count() < width - 2:
                     continue
                 if not p_simple and zq.bit_count() != width - 1:
+                    if holders is None:
+                        # the live rays take the ids 0, 1, ... in list order
+                        holders = [0] * len(rows)
+                        next_id = _index(holders, zeros, 0)
+                        ids, live = list(range(next_id)), (1 << next_id) - 1
                     pair = 1 << ids[p] | 1 << ids[q]
                     alive, rest = live, common
                     while alive != pair and rest:
@@ -218,23 +231,17 @@ def _extreme_rays(rows, width):
                 new_rays.append(primitive([sp * b - sq * a for a, b in zip(rays[p], rays[q])]))
                 new_zeros.append(common | 1 << k)
         keep = [i for i, s in enumerate(vals) if s >= 0]
-        for q, _ in neg:
-            live ^= 1 << ids[q]
-        for i in keep:
-            if not vals[i]:
-                holders[k] |= 1 << ids[i]
-        first = next_id
-        for z in new_zeros:
-            bit = 1 << next_id
-            live |= bit
-            next_id += 1
-            while z:
-                j = z.bit_length() - 1
-                holders[j] |= bit
-                z ^= 1 << j
+        if holders is not None:
+            for q, _ in neg:
+                live ^= 1 << ids[q]
+            for i in keep:
+                if not vals[i]:
+                    holders[k] |= 1 << ids[i]
+            first, next_id = next_id, _index(holders, new_zeros, next_id)
+            live |= (1 << next_id) - (1 << first)
+            ids = [ids[i] for i in keep] + list(range(first, next_id))
         rays = [rays[i] for i in keep] + new_rays
         zeros = [zeros[i] | (1 << k if vals[i] == 0 else 0) for i in keep] + new_zeros
-        ids = [ids[i] for i in keep] + list(range(first, next_id))
     return list(zip(rays, zeros))
 
 

@@ -2,7 +2,8 @@
 
 Skeleton equivalence is checked through the explicit vertex labeling carried
 over from the projection, not by isomorphism search: the target must have as
-many low faces as the cube, each the vertex set of a cube face of its dimension.
+many low faces as the cube, and each low cube face, built level by level as
+the mask of its vertices, must be one of them.
 """
 
 from functools import reduce
@@ -23,13 +24,18 @@ def verify_skeleton_equivalence(inc: IncidenceStructure, n, r) -> bool:
     (a) the vertex-label set of every cube face of dimension <= r is a face
     of the structure of the same dimension, and (b) the structure has no
     further faces of dimension <= r.  Vertex i is the cube vertex labels[i];
-    labels that are not exactly the tuples of {-1, +1}^n give False.
+    labels that are not exactly the tuples of {-1, +1}^n give False.  The
+    structure itself, all of its vertices, is its face one dimension above
+    its facets, so a d-cube passes at every r >= d.
 
-    Read off the lattice: with k-face counts equal to the cube's, every
-    k-face must have 2^k vertices whose labels vary on exactly k
-    coordinates, so that they are the vertices of the cube k-face those
-    span.  Distinct faces give distinct cube faces, so the equal counts
-    give (a) and (b).
+    With k-face counts equal to the cube's, it is enough that every cube
+    k-face, built as the mask of its vertices' indices, is a face of the
+    structure: distinct cube faces give distinct masks, so that gives (a),
+    and the equal counts give (b).  Level 0 is each label's vertex; the
+    (k+1)-face free in ``free | b`` and +1 in ``ones`` is the OR of its two
+    halves at b, for each coordinate b above ``free``'s and not in
+    ``ones``, so each is built once.  A face is keyed by the int
+    ``ones | free << n``, the pair ``signvec.cube_face`` reads.
     """
     if r < 0:
         raise ValueError("need r >= 0")
@@ -41,18 +47,29 @@ def verify_skeleton_equivalence(inc: IncidenceStructure, n, r) -> bool:
     if labels != set(product((-1, 1), repeat=n)):
         return False
     masks = face_masks(inc)
-    if any(len(masks.get(k, ())) != signvec.cube_face_count(n, k) for k in range(r + 1)):
+    faces = {**masks, len(masks): {(1 << inc.vertex_count) - 1}}
+    if any(len(faces.get(k, ())) != signvec.cube_face_count(n, k) for k in range(r + 1)):
         return False
-    # plus[j] holds the vertices labeled +1 at j; f varies at j when it meets it and its complement
-    plus = [sum(1 << i for i, lab in enumerate(inc.labels) if lab[j] == 1) for j in range(n)]
-    for k in range(r + 1):
-        faces = list(masks.get(k, ()))
-        # varies[i] counts the coordinates at which faces[i] varies, one pass per coordinate
-        varies = [0] * len(faces)
-        for p in plus:
-            varies = [v + (0 != f & p != f) for v, f in zip(varies, faces)]
-        if any(f.bit_count() != 1 << k or v != k for f, v in zip(faces, varies)):
-            return False
+    level = {
+        sum(1 << j for j, s in enumerate(lab) if s == 1): 1 << i
+        for i, lab in enumerate(inc.labels)
+    }
+    if any(f not in faces[0] for f in level.values()):
+        return False
+    for k in range(1, r + 1):
+        below, level = level, {}
+        have = faces.get(k, ())
+        for key, f in below.items():
+            # the lowest coordinate above every free one of this face
+            b = 1 << (key >> n).bit_length()
+            while b < 1 << n:
+                if not key & b:
+                    face = f | below[key | b]
+                    if face not in have:
+                        return False
+                    if k < r:
+                        level[key | b << n] = face
+                b <<= 1
     return True
 
 

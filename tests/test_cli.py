@@ -210,6 +210,9 @@ RECORDED_OUTPUTS = [
      "ad006e39fdcd6e1c39aeb500935e884c564d760cbf1595e38a98e2f7fb9dc218"),
     ("verify --n 8 --d 8", 0,
      "c43061c2a4a9a50647d5d5a237a5d024099543988be94db7a710350a46232067"),
+    # the skeleton check at r = 2 on a shadow with n > d, and its break at r = 3
+    ("verify --n 8 --d 6", 0,
+     "1fd9d345b4a03d66ea9e593e0021b485c789a9da7056558c29e97cda96a37fdf"),
     ("verify --n 5 --d 4 --r 2", 1,
      "285c7a7286b547b5ece19ebffaa809bd6ac8811d08101cb67044365e6000e78c"),
     ("verify --n 6 --d 4 --epsilon 1", 1,

@@ -9,9 +9,11 @@ so rank-deficient and all-zero matrices come up often, besides the explicit
 examples.
 """
 
+import random
 from functools import reduce
 from itertools import product
 from math import gcd
+from operator import mul
 
 import pytest
 import sympy
@@ -21,11 +23,11 @@ from hypothesis import strategies as st
 from ncpoly.intops import (
     bareiss_det,
     echelon,
-    echelon_kernel,
     primitive,
+    simplicial_rays,
 )
 from ncpoly.signvec import cube_face, vertex_set
-from test_linalg import left_kernel
+from test_linalg import echelon_kernel, left_kernel
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -175,6 +177,66 @@ def test_echelon_kernel_matches_sympy_nullspace(system):
     assert len(red) == width - 1
     (w,) = _sympy_matrix(rows, width).nullspace()
     assert echelon_kernel(red, width) == _primitive_sympy_vector(w)
+
+
+def _echelon_kernel_rays(basis):
+    """The simplicial cone's rays as the hull built them before
+    ``simplicial_rays``: one ``echelon`` and ``echelon_kernel`` per row,
+    over the other rows, signed so that the row reads its ray positive."""
+    width = len(basis)
+    out = []
+    for i, row in enumerate(basis):
+        ray = echelon_kernel(echelon([b for j, b in enumerate(basis) if j != i]), width)
+        out.append(ray if sum(map(mul, row, ray)) > 0 else tuple(-x for x in ray))
+    return out
+
+
+def _sympy_nullspace_rays(basis):
+    width = len(basis)
+    out = []
+    for i, row in enumerate(basis):
+        (w,) = _sympy_matrix([b for j, b in enumerate(basis) if j != i], width).nullspace()
+        ray = _primitive_sympy_vector(w)
+        out.append(ray if sum(map(mul, row, ray)) > 0 else tuple(-x for x in ray))
+    return out
+
+
+def test_simplicial_rays_match_echelon_kernel_and_sympy_nullspace():
+    # seeded full-rank bases, some rows scaled so that their content is
+    # above 1 and some entries zeroed so that pivots need a swap
+    rng = random.Random(3501)
+    checked = negative = scaled = 0
+    while checked < 200:
+        width = rng.randint(1, 7)
+        basis = [
+            tuple(
+                rng.choice((1, 1, 2, 3)) * rng.randint(-5, 5) * (rng.random() < 0.7)
+                for _ in range(width)
+            )
+            for _ in range(width)
+        ]
+        basis = [tuple(rng.choice((1, 2, 6)) * x for x in row) for row in basis]
+        det = bareiss_det(basis)
+        if not det:
+            continue
+        checked += 1
+        negative += det < 0
+        scaled += any(gcd(*row) > 1 for row in basis)
+        assert simplicial_rays(basis) == _echelon_kernel_rays(basis) == _sympy_nullspace_rays(basis)
+    assert negative > 50 and scaled > 50
+
+
+@SETTINGS
+@given(square_matrices())
+@example([[0, 1], [1, 0]])
+@example([[2, 4], [1, 2]])
+@example([[0, 0, 3], [0, 2, 0], [-1, 0, 0]])
+def test_simplicial_rays_match_sympy_nullspace(basis):
+    if not _sympy_matrix(basis, len(basis)).det():
+        with pytest.raises(ArithmeticError):
+            simplicial_rays(basis)
+        return
+    assert simplicial_rays(basis) == _sympy_nullspace_rays(basis)
 
 
 @pytest.mark.parametrize("n", range(7))

@@ -1,15 +1,17 @@
 """Exact linear algebra on the integer kernels of ``ncpoly.intops``.
 
 Rational input enters through ``clear_denominators``, which scales every
-row by one positive integer; the tests check the determinant, rank and
-left-kernel routines against independent oracles and that the scaling keeps
-every sign the certificate, the circuit test and the chirotope read.
+row by one positive integer; the tests check the determinant, rank,
+left-kernel and simplicial-cone routines against independent oracles and
+that the scaling keeps every sign the certificate, the circuit test and the
+chirotope read.  ``echelon_kernel`` is kept here as a reference.
 """
 
 import random
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -17,8 +19,41 @@ from ncpoly.intops import (
     bareiss_det,
     clear_denominators,
     echelon,
-    echelon_kernel,
+    simplicial_rays,
 )
+
+
+def echelon_kernel(red, width):
+    """Right kernel vector of a rank-deficient-by-one echelon system: a
+    reference that back-substitutes one ``echelon`` list.
+
+    ``red`` is an ``echelon`` of ``width - 1`` independent rows over
+    ``width`` columns.  Returns the primitive integer vector u with
+    row . u = 0 for every row, sign-normalized on its first nonzero entry.
+    (The library's hull start called it once per ray before
+    ``intops.simplicial_rays``.)
+    """
+    # the width - 1 pivots are distinct, so the free column is the one
+    # missing from their sum
+    free = width * (width - 1) // 2
+    scale = 1
+    for _, prow, pc in red:
+        free -= pc
+        scale *= prow[pc]
+    u = [0] * width
+    u[free] = scale if scale > 0 else -scale
+    for _, prow, pc in reversed(red):
+        # u[pc] is still 0 here, so the pivot column adds nothing
+        q, rem = divmod(-sum(map(mul, prow, u)), prow[pc])
+        if rem:
+            raise ArithmeticError("non-integral back-substitution")
+        u[pc] = q
+    for x in u:
+        if x:
+            # divide once by the content, carrying the first nonzero sign
+            g = gcd(*u) if x > 0 else -gcd(*u)
+            return tuple([y // g for y in u])
+    raise ArithmeticError("zero kernel vector")
 
 
 def left_kernel(rows):
@@ -253,3 +288,59 @@ def test_echelon_kernel_matches_fraction_elimination():
         scale = next(Fraction(u[i]) / x[i] for i in range(width) if x[i])
         assert all(Fraction(u[i]) == scale * x[i] for i in range(width))
     assert checked > 120
+
+
+def test_simplicial_rays_by_inspection():
+    assert simplicial_rays([]) == []
+    assert simplicial_rays([(-4,)]) == [(-1,)]
+    assert simplicial_rays([(1, 0), (0, 1)]) == [(1, 0), (0, 1)]
+    # each row's ray is made primitive and signed so that the row reads it positive
+    assert simplicial_rays([(2, 0), (0, -3)]) == [(1, 0), (0, -1)]
+    # the zero pivot of (0, 1) is swapped with the row below it
+    assert simplicial_rays([(0, 1), (1, 1)]) == [(-1, 1), (1, 0)]
+
+
+def test_simplicial_rays_refuse_a_singular_basis():
+    for basis in ([(0,)], [(1, 2), (2, 4)], [(1, 0, 0), (0, 1, 0), (1, 1, 0)]):
+        with pytest.raises(ArithmeticError, match="singular basis"):
+            simplicial_rays(basis)
+
+
+def _fraction_inverse(rows):
+    """The inverse of a nonsingular square matrix by Gauss-Jordan over the
+    rationals."""
+    w = len(rows)
+    m = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(w)]
+        for i, row in enumerate(rows)
+    ]
+    for k in range(w):
+        p = next(i for i in range(k, w) if m[i][k])
+        m[k], m[p] = m[p], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(w):
+            if i != k and m[i][k]:
+                m[i] = [a - m[i][k] * b for a, b in zip(m[i], m[k])]
+    return [row[w:] for row in m]
+
+
+def test_simplicial_rays_match_fraction_inverse():
+    # ray i must be a positive multiple of column i of the inverse: rows
+    # j != i read it 0 and row i reads it positive
+    rng = random.Random(424242)
+    checked = negative = 0
+    while checked < 150:
+        width = rng.randint(1, 6)
+        rows = [tuple(rng.randint(-9, 9) for _ in range(width)) for _ in range(width)]
+        if not bareiss_det(rows):
+            continue
+        checked += 1
+        negative += bareiss_det(rows) < 0
+        inverse = _fraction_inverse(rows)
+        for i, ray in enumerate(simplicial_rays(rows)):
+            assert gcd(*ray) == 1
+            column = [inverse[j][i] for j in range(width)]
+            scale = next(Fraction(r) / c for r, c in zip(ray, column) if c)
+            assert scale > 0 and all(Fraction(r) == scale * c for r, c in zip(ray, column))
+            assert [sum(map(mul, row, ray)) > 0 for row in rows] == [j == i for j in range(width)]
+    assert negative > 50

@@ -19,7 +19,7 @@ from ncpoly.errors import (
     SpanError,
     UnboundedPolytopeError,
 )
-from ncpoly.intops import echelon, echelon_kernel, primitive
+from ncpoly.intops import echelon, primitive
 from ncpoly.polytope import (
     HPolytope,
     IncidenceStructure,
@@ -35,7 +35,7 @@ from ncpoly.polytope import (
     vertices_and_tight_sets,
     vertices_from_hrep,
 )
-from test_linalg import left_kernel
+from test_linalg import echelon_kernel, left_kernel
 
 
 def _int_row(row):
@@ -808,7 +808,9 @@ def _full_scan_extreme_rays(rows, width, branches=None):
     with the combinatorial adjacency test run as a scan of every current ray
     for one that vanishes on the pair's common zero set.  ``branches``, when
     given, counts the pairs that reach the test by the branch the library
-    takes: "simple" when either zero set has width-1 rows, else "indexed"."""
+    takes: "simple" when either zero set has width-1 rows, else "indexed",
+    and holds at "first indexed cut" the number of cuts made before the
+    first "indexed" pair (the library builds its row index there)."""
     basis = [i for i, _, _ in echelon(rows)]
     if len(basis) < width:
         return None
@@ -820,9 +822,8 @@ def _full_scan_extreme_rays(rows, width, branches=None):
         rays.append(ray)
         zeros.append(sum(1 << j for j in basis if j != i))
     in_basis = set(basis)
-    for k, row in enumerate(rows):
-        if k in in_basis:
-            continue
+    for cut, k in enumerate(k for k in range(len(rows)) if k not in in_basis):
+        row = rows[k]
         vals = [sum(a * b for a, b in zip(row, ray)) for ray in rays]
         pos = [i for i, s in enumerate(vals) if s > 0]
         neg = [i for i, s in enumerate(vals) if s < 0]
@@ -835,6 +836,8 @@ def _full_scan_extreme_rays(rows, width, branches=None):
                 if branches is not None:
                     simple = width - 1 in (zeros[p].bit_count(), zeros[q].bit_count())
                     branches["simple" if simple else "indexed"] += 1
+                    if not simple:
+                        branches.setdefault("first indexed cut", cut)
                 if any(z & common == common for i, z in enumerate(zeros) if i != p and i != q):
                     continue
                 sp, sq = vals[p], vals[q]
@@ -1014,6 +1017,63 @@ def test_drawn_sets_reach_both_adjacency_branches(branch):
         settings=settings(database=None, max_examples=500, phases=[Phase.generate]),
         random=random.Random(21),
     )
+
+
+def _cone_calls(monkeypatch, run):
+    """The (rows, width) of every ``_extreme_rays`` call ``run()`` makes."""
+    calls = []
+    original = polytope._extreme_rays
+    monkeypatch.setattr(
+        polytope,
+        "_extreme_rays",
+        lambda rows, width: calls.append((rows, width)) or original(rows, width),
+    )
+    run()
+    return calls
+
+
+def _first_indexed_cut(rows, width):
+    """The rays must equal the full scan's; returns the number of cuts made
+    before the first pair that needs the third-ray search (None when no pair
+    does), and the number of cuts."""
+    branches = Counter()
+    assert _extreme_rays(rows, width) == _full_scan_extreme_rays(rows, width, branches)
+    return branches.get("first indexed cut"), len(rows) - width
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_extreme_rays_match_full_scan_when_no_pair_needs_the_search(monkeypatch, n):
+    # every pair of the deformed cube's H->V has a simple side, so the row
+    # index is never built; nor is it for a simplicial cyclic hull
+    (call,) = _cone_calls(
+        monkeypatch, lambda: vertices_and_tight_sets(build_deformed_cube(n, Fraction(1, 2)))
+    )
+    assert _first_indexed_cut(*call) == (None, n)
+    for d in range(2, min(n, 6)):
+        first, cuts = _first_indexed_cut(_homogenized(cyclic_configuration(n + 1, d)), d + 1)
+        assert first is None and cuts == n - d
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_extreme_rays_match_full_scan_when_the_search_comes_late(monkeypatch, d):
+    # the d-cube cut by sum x <= d - 2 keeps a simple side on every pair;
+    # the cut x_1 <= 1/2 after it separates two vertices of that cut's
+    # facet, each on d + 1 facets, so the row index is first built there
+    extra = [((1,) * d, d - 2), ((1,) + (0,) * (d - 1), Fraction(1, 2))]
+    h = HPolytope(d, [*_cube_hrep(d).inequalities, *extra])
+    (call,) = _cone_calls(monkeypatch, lambda: vertices_and_tight_sets(h))
+    first, cuts = _first_indexed_cut(*call)
+    # the last cut is t >= 0, which every vertex of the cone meets
+    assert first == cuts - 2
+
+
+@pytest.mark.parametrize("n,d", [(5, 3), (5, 4), (6, 4), (6, 6)])
+def test_extreme_rays_match_full_scan_when_the_search_comes_early(n, d):
+    # a cube shadow needs the search at its third cut of dozens (at the
+    # first, every ray of the simplicial start is simple), so the row index
+    # is built early and kept up to the end
+    first, cuts = _first_indexed_cut(_homogenized(projected_cube(n, d).shadow), d + 1)
+    assert first == 2 and cuts > 25
 
 
 @pytest.fixture

@@ -85,6 +85,22 @@ def test_cube_is_skeleton_equivalent_to_itself():
         assert verify_skeleton_equivalence(inc, 3, r)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_cube_is_its_own_top_face(constructed, d):
+    # the structure itself is its one d-face, so a d-cube passes at r = d,
+    # and at r = d + 1, where neither has a face
+    cubes = [facets_from_vrep(_labeled_cube(d))]
+    if d >= 2:
+        cubes.append(constructed(d, d)[1])
+    for inc in cubes:
+        for r in (d, d + 1):
+            assert verify_skeleton_equivalence(inc, d, r), r
+    if d >= 2:
+        # a shadow with n > d has one d-face, the n-cube comb(n, d) 2^(n-d)
+        _, inc = constructed(d + 1, d)
+        assert not verify_skeleton_equivalence(inc, d + 1, d)
+
+
 def test_skeleton_equivalence_needs_labels():
     inc = facets_from_vrep(VPolytope(2, [(-1, -1), (-1, 1), (1, -1), (1, 1)]))
     with pytest.raises(ValueError):
